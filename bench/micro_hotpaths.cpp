@@ -29,7 +29,7 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
     for (std::size_t i = 0; i < n; ++i) {
       q.schedule(sim::Time::from_ticks(
                      static_cast<std::int64_t>(rng.uniform_int(0, 1 << 20))),
-                 [] {});
+                 sim::Event::hello_tick(i));
     }
     while (!q.empty()) benchmark::DoNotOptimize(q.pop().when.ticks());
   }

@@ -10,14 +10,15 @@
 // the move budget via Node::move_towards.
 //
 // Checkpointing: the driver's dynamic state is (model rng, model state,
-// pending tick time); src/snap encodes all three and restore_tick_at()
-// re-arms the tick callback.
+// pending tick time); src/snap encodes all three, and the restored kMobTick
+// record dispatches to the driver like a live one.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
 #include "mob/model.hpp"
+#include "sim/event_tag.hpp"
 #include "sim/time.hpp"
 #include "util/units.hpp"
 
@@ -27,11 +28,12 @@ class Network;
 
 namespace imobif::mob {
 
-class MotionDriver {
+class MotionDriver final : public sim::EventHandler {
  public:
   /// Reads the nodes' current (initial) positions from `network` to seed
   /// per-node model state. `move_cost` is the scenario's J/m constant,
-  /// used only when params.charge_energy is set.
+  /// used only when params.charge_energy is set. Registers itself as the
+  /// simulator's kMobTick handler.
   MotionDriver(net::Network& network, const ModelParams& params,
                std::uint64_t seed, util::Meters area,
                util::JoulesPerMeter move_cost);
@@ -42,17 +44,14 @@ class MotionDriver {
   /// Schedules the first tick one update interval from now.
   void start();
 
-  /// Re-arms the tick at an absolute time (checkpoint restore).
-  void restore_tick_at(sim::Time when);
+  /// kMobTick: steps the model, applies the moves, schedules the next tick.
+  void handle(const sim::Event& event, std::uint32_t step) override;
 
   MobilityModel& model() { return *model_; }
   const MobilityModel& model() const { return *model_; }
   const ModelParams& params() const { return model_->params(); }
 
  private:
-  void tick();
-  void schedule_at(sim::Time when);
-
   net::Network& network_;
   std::unique_ptr<MobilityModel> model_;
   // snap:transient(per-meter cost constant re-derived from scenario params by create_shell)

@@ -44,40 +44,45 @@ geom::Vec2 Medium::true_position(NodeId id) const {
   return node->position();
 }
 
-void Medium::deliver_later(Node& receiver, const Packet& pkt) {
-  ++counters_.delivered;
-  schedule_delivery(receiver, std::make_shared<const Packet>(pkt),
-                    sim_.now() + config_.prop_delay);
-}
-
-void Medium::schedule_delivery(Node& receiver,
-                               std::shared_ptr<const Packet> pkt,
-                               sim::Time when) {
-  Node* target = &receiver;
-  // The tag shares ownership of the packet with the closure, so the
-  // snapshot encoder can serialize the in-flight copy without another one.
-  sim::EventTag tag = sim::EventTag::deliver(receiver.id(), pkt);
-  sim_.at(
-      when,
-      [target, pkt = std::move(pkt)] { target->handle_receive(*pkt); },
-      std::move(tag));
-}
-
-void Medium::restore_delivery_at(NodeId receiver,
-                                 std::shared_ptr<const Packet> pkt,
-                                 sim::Time when) {
-  Node* node = find_node(receiver);
-  if (node == nullptr) {
-    throw std::out_of_range("Medium::restore_delivery_at: unknown node");
+std::uint32_t Medium::hold(const Packet& pkt) {
+  std::uint32_t slot = 0;
+  if (free_in_flight_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
   }
-  // No counter bump: `delivered` was incremented when the original
-  // transmission was scheduled, before the snapshot.
-  schedule_delivery(*node, std::move(pkt), when);
+  InFlight& entry = in_flight_[slot];
+  entry.packet = pkt;
+  entry.receivers.clear();
+  return slot;
+}
+
+void Medium::deliver_at(sim::Time when, const Packet& pkt, NodeId receiver) {
+  if (find_node(receiver) == nullptr) {
+    throw std::out_of_range("Medium::deliver_at: unknown node");
+  }
+  const std::uint32_t slot = hold(pkt);
+  in_flight_[slot].receivers.push_back(receiver);
+  sim_.at(when, sim::Event::deliver(slot, 1));
+}
+
+void Medium::deliver(std::uint64_t slot, std::uint32_t step) {
+  // A deque entry never moves, so the reference survives any transmission
+  // the receiver makes (which may grow the pool).
+  const InFlight& entry = in_flight_[slot];
+  by_id_[entry.receivers[step]]->handle_receive(entry.packet);
+  if (step + 1 == entry.receivers.size()) {
+    free_in_flight_.push_back(static_cast<std::uint32_t>(slot));
+  }
 }
 
 void Medium::broadcast(const Node& sender, const Packet& pkt) {
   ++counters_.broadcasts;
   const geom::Vec2 origin = sender.position();
+  const std::uint32_t slot = hold(pkt);
+  std::vector<NodeId>& receivers = in_flight_[slot].receivers;
   index_.for_each_in_range(
       origin, config_.comm_range_m, [&](NodeId id, geom::Vec2) {
         if (id == sender.id()) return;
@@ -91,8 +96,15 @@ void Medium::broadcast(const Node& sender, const Packet& pkt) {
           ++counters_.dropped_injected;
           return;
         }
-        deliver_later(*node, pkt);
+        receivers.push_back(id);
       });
+  if (receivers.empty()) {
+    free_in_flight_.push_back(slot);
+    return;
+  }
+  const auto count = static_cast<std::uint32_t>(receivers.size());
+  counters_.delivered += count;
+  sim_.at(sim_.now() + config_.prop_delay, sim::Event::deliver(slot, count));
 }
 
 bool Medium::unicast(const Node& sender, NodeId dest, const Packet& pkt) {
@@ -122,18 +134,9 @@ bool Medium::unicast(const Node& sender, NodeId dest, const Packet& pkt) {
     ++counters_.dropped_injected;
     return true;  // silent loss: accepted by the channel, never delivered
   }
-  deliver_later(*node, pkt);
+  ++counters_.delivered;
+  deliver_at(sim_.now() + config_.prop_delay, pkt, dest);
   return true;
-}
-
-void Medium::schedule_fault_set(NodeId id, bool on, sim::Time when) {
-  sim_.at(
-      when,
-      [this, id, on] {
-        Node* node = find_node(id);
-        if (node != nullptr) node->set_faulted(on);
-      },
-      sim::EventTag::fault_set(id, on));
 }
 
 void Medium::install_fault_plan(const FaultPlan& plan) {
@@ -141,11 +144,11 @@ void Medium::install_fault_plan(const FaultPlan& plan) {
   if (!plan.enabled()) return;
   if (plan.has_loss()) injector_ = std::make_unique<FaultInjector>(plan);
   for (const FaultPlan::CrashEvent& crash : plan.crashes) {
-    schedule_fault_set(crash.node, true, sim::Time::from_seconds(crash.at_s));
+    sim_.at(sim::Time::from_seconds(crash.at_s),
+            sim::Event::fault_set(crash.node, true));
     if (crash.duration_s >= 0.0) {
-      schedule_fault_set(
-          crash.node, false,
-          sim::Time::from_seconds(crash.at_s + crash.duration_s));
+      sim_.at(sim::Time::from_seconds(crash.at_s + crash.duration_s),
+              sim::Event::fault_set(crash.node, false));
     }
   }
 }
@@ -154,10 +157,6 @@ FaultInjector& Medium::restore_fault_injector(const FaultPlan& plan) {
   plan.validate();
   injector_ = std::make_unique<FaultInjector>(plan);
   return *injector_;
-}
-
-void Medium::restore_fault_event_at(NodeId id, bool on, sim::Time when) {
-  schedule_fault_set(id, on, when);
 }
 
 }  // namespace imobif::net

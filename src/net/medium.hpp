@@ -9,9 +9,16 @@
 //
 // The medium also doubles as the experiment's ground-truth position oracle
 // (`true_position`), standing in for GPS (paper Assumption 2).
+//
+// In-flight transmissions: a transmission pools ONE copy of its packet
+// together with the receivers chosen at send time and schedules ONE
+// kDeliver record stepped once per receiver (sim/event_tag.hpp); a unicast
+// is a fan-out of one. Pool entries (and their receiver vectors) are
+// recycled, so delivery allocates nothing per receiver once warm.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -77,6 +84,26 @@ class Medium {
   /// delivered one without an ACK.
   bool unicast(const Node& sender, NodeId dest, const Packet& pkt);
 
+  // snap:transient(pool entry; the events section encodes one packet per pending receiver)
+  struct InFlight {
+    Packet packet;
+    std::vector<NodeId> receivers;  ///< in delivery order
+  };
+  /// The pooled transmission a pending kDeliver record names (Event::a).
+  const InFlight& in_flight(std::uint64_t slot) const {
+    return in_flight_.at(slot);
+  }
+
+  /// Schedules delivery of `pkt` to `receiver` at absolute time `when`
+  /// (the unicast path and checkpoint restore). Counters are untouched: a
+  /// live transmission counts itself, a restored one was counted before
+  /// the snapshot. Throws std::out_of_range for an unknown receiver.
+  void deliver_at(sim::Time when, const Packet& pkt, NodeId receiver);
+
+  /// kDeliver handler: hands the pooled packet to its `step`-th receiver
+  /// and recycles the pool entry after the last one.
+  void deliver(std::uint64_t slot, std::uint32_t step);
+
   /// Installs a fault plan (DESIGN.md §7): deterministic injected link
   /// loss and a node crash/pause schedule executed through the simulator.
   /// Installing a disabled (default) plan is a no-op. Call before running
@@ -99,23 +126,14 @@ class Medium {
   // --- Checkpoint restore support (src/snap) ---
 
   void restore_counters(const Counters& counters) { counters_ = counters; }
-  /// Re-schedules an in-flight delivery at an absolute time. Unlike the
-  /// internal path this does NOT bump the delivered counter (it was counted
-  /// when the original transmission was scheduled, before the snapshot).
-  void restore_delivery_at(NodeId receiver, std::shared_ptr<const Packet> pkt,
-                           sim::Time when);
   /// Re-creates the loss injector from its plan WITHOUT scheduling the
   /// crash events (those are restored as pending simulator events); returns
   /// it so the caller can restore per-link channel state.
   FaultInjector& restore_fault_injector(const FaultPlan& plan);
-  /// Re-schedules one pending crash/resume event at an absolute time.
-  void restore_fault_event_at(NodeId id, bool on, sim::Time when);
 
  private:
-  void deliver_later(Node& receiver, const Packet& pkt);
-  void schedule_delivery(Node& receiver, std::shared_ptr<const Packet> pkt,
-                         sim::Time when);
-  void schedule_fault_set(NodeId id, bool on, sim::Time when);
+  /// A recycled pool entry holding a copy of `pkt` and no receivers.
+  std::uint32_t hold(const Packet& pkt);
 
   sim::Simulator& sim_;
   MediumConfig config_;
@@ -125,6 +143,11 @@ class Medium {
   /// broadcast path where a hash lookup used to be.
   std::vector<Node*> by_id_;
   GridIndex index_;
+  // A deque, so entries never move while a receiver transmits.
+  // snap:transient(in-flight pool; the events section encodes its pending receivers)
+  std::deque<InFlight> in_flight_;
+  // snap:transient(free list of the in-flight pool, refilled as deliveries finish)
+  std::vector<std::uint32_t> free_in_flight_;
   Counters counters_;
   // snap:derived(restore_fault_injector)
   std::unique_ptr<FaultInjector> injector_;

@@ -127,9 +127,12 @@ void Node::start_hello() {
   const auto phase_ticks = static_cast<std::int64_t>(
       hash % static_cast<std::uint64_t>(
                  std::max<std::int64_t>(1, config_.hello_interval.ticks())));
-  hello_event_ = services_.sim->after(
-      sim::Time::from_ticks(phase_ticks), [this] { hello_tick(); },
-      sim::EventTag::hello_tick(id_));
+  arm_hello(now() + sim::Time::from_ticks(phase_ticks));
+}
+
+void Node::arm_hello(sim::Time when) {
+  stop_hello();
+  hello_event_ = services_.sim->at(when, sim::Event::hello_tick(id_));
 }
 
 void Node::stop_hello() {
@@ -158,9 +161,7 @@ void Node::hello_tick() {
   send_hello_now();
   neighbors_.purge(now());
   if (!alive()) return;  // beacon cost may have finished the battery
-  hello_event_ = services_.sim->after(
-      config_.hello_interval, [this] { hello_tick(); },
-      sim::EventTag::hello_tick(id_));
+  arm_hello(now() + config_.hello_interval);
 }
 
 NeighborInfo Node::lookup(NodeId other) const {
@@ -517,26 +518,13 @@ void Node::schedule_notify_retry(FlowEntry& entry) {
       entry.notify_attempts, 16));
   const sim::Time delay =
       sim::Time::from_ticks(config_.notify_retry_timeout.ticks() << shift);
-  entry.notify_retry_event = services_.sim->after(
-      delay, [this, flow = entry.id] { notify_retry_tick(flow); },
-      sim::EventTag::notify_retry(id_, entry.id));
+  arm_notify_retry(entry, now() + delay);
 }
 
-void Node::restore_hello_at(sim::Time when) {
-  stop_hello();
-  hello_event_ = services_.sim->at(
-      when, [this] { hello_tick(); },
-      sim::EventTag::hello_tick(id_));
-}
-
-void Node::restore_notify_retry_at(FlowId flow, sim::Time when) {
-  FlowEntry& entry = flows_.ensure(flow);
-  if (entry.notify_retry_event != 0) {
-    services_.sim->cancel(entry.notify_retry_event);
-  }
-  entry.notify_retry_event = services_.sim->at(
-      when, [this, flow] { notify_retry_tick(flow); },
-      sim::EventTag::notify_retry(id_, flow));
+void Node::arm_notify_retry(FlowEntry& entry, sim::Time when) {
+  cancel_notify_retry(entry);
+  entry.notify_retry_event =
+      services_.sim->at(when, sim::Event::notify_retry(id_, entry.id));
 }
 
 void Node::sync_flow_aggregate() {

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "energy/battery.hpp"
 #include "energy/radio_model.hpp"
@@ -171,6 +170,19 @@ class Node {
   /// ground-truth oracle as fallback (documented GPS substitution).
   NeighborInfo lookup(NodeId other) const;
 
+  // --- Timers (kHelloTick / kNotifyRetry; Network dispatches them) ---
+  // Live scheduling and checkpoint restore both arm through these, so each
+  // timer has exactly one scheduling site.
+
+  /// Schedules the next HELLO tick at absolute time `when`, replacing any
+  /// pending one.
+  void arm_hello(sim::Time when);
+  /// Schedules `entry`'s notification retry at absolute time `when`,
+  /// replacing any pending one.
+  void arm_notify_retry(FlowEntry& entry, sim::Time when);
+  void hello_tick();
+  void notify_retry_tick(FlowId flow);
+
   // --- Checkpoint restore support (src/snap) ---
   // These bypass the usual side effects: restore re-materializes state that
   // already had its side effects before the snapshot was taken.
@@ -179,10 +191,6 @@ class Node {
   /// of set_faulted(); pending HELLO events are restored separately.
   void restore_faulted(bool faulted) { faulted_ = faulted; }
   void restore_total_moved(util::Meters meters) { total_moved_ = meters; }
-  /// Re-arms the periodic HELLO timer at an absolute simulated time.
-  void restore_hello_at(sim::Time when);
-  /// Re-arms a pending notification retry for `flow` at an absolute time.
-  void restore_notify_retry_at(FlowId flow, sim::Time when);
 
   /// Recomputes this node's NodeStore flow aggregate from the flow table.
   /// Call after mutating the table through flows() from outside the node
@@ -191,7 +199,6 @@ class Node {
   void sync_flow_aggregate();
 
  private:
-  void hello_tick();
   void handle_data(DataBody data, const SenderStamp& from);
   void handle_recruit(const RecruitBody& body);
   /// Transmits toward entry.next; on link-layer failure re-resolves the
@@ -204,7 +211,6 @@ class Node {
   /// Transmits the current pending decision upstream and (re-)arms the
   /// retry timer; shared by the first transmission and every retry.
   void transmit_notification(FlowEntry& entry);
-  void notify_retry_tick(FlowId flow);
   void schedule_notify_retry(FlowEntry& entry);
   void cancel_notify_retry(FlowEntry& entry);
   Packet stamp(PacketType type, NodeId link_dest, util::Bits size_bits) const;
@@ -228,7 +234,7 @@ class Node {
   Services services_;
   // snap:transient(per-node config, persisted wholesale as scenario text)
   NodeConfig config_;
-  // snap:derived(restore_hello_at)
+  // snap:derived(arm_hello)
   sim::EventId hello_event_ = 0;
   util::Meters total_moved_;
   bool faulted_ = false;
