@@ -2,10 +2,13 @@
 // "a neighbor table with the identity, location, and residual energy of each
 // neighbor", populated from HELLO beacons (and refreshed from the sender
 // stamp of any overheard packet). Entries expire after a timeout.
+//
+// Storage is a vector sorted by id: lookups and upserts binary-search it,
+// and every scan (routing, recruitment, checkpointing) reads it in id order
+// directly — no hash layout to sort away.
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "geom/vec2.hpp"
@@ -45,7 +48,7 @@ class NeighborTable {
   /// by id. Checkpointing serializes these verbatim (restoring only live
   /// entries would be behaviorally equivalent but break state-hash
   /// comparison against the original).
-  std::vector<NeighborInfo> all_entries() const;
+  const std::vector<NeighborInfo>& all_entries() const { return entries_; }
 
   std::size_t size() const { return entries_.size(); }
   sim::Time timeout() const { return timeout_; }
@@ -59,7 +62,7 @@ class NeighborTable {
   // snap:transient(config from NodeConfig, re-applied at construction)
   sim::Time timeout_;
   // snap:derived(upsert)
-  std::unordered_map<NodeId, NeighborInfo> entries_;
+  std::vector<NeighborInfo> entries_;  // sorted by id, ids unique
 };
 
 }  // namespace imobif::net
