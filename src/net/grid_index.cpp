@@ -114,8 +114,8 @@ std::optional<GridIndex::Hit> GridIndex::nearest(geom::Vec2 center,
       scan_cell(base.x, base.y);
       continue;
     }
-    // Perimeter of the ring, same (dx, dy) sweep order as
-    // for_each_in_range for determinism.
+    // Perimeter of the ring; the id tie-break above makes the result
+    // independent of the sweep order.
     for (std::int64_t dx = -ring; dx <= ring; ++dx) {
       if (dx == -ring || dx == ring) {
         for (std::int64_t dy = -ring; dy <= ring; ++dy) {

@@ -3,15 +3,16 @@
 // Medium::broadcast must find every node within the communication range
 // of a transmitter; a linear scan is O(n) per broadcast and dominates at
 // 1000+ nodes. This index hashes positions into square cells of side
-// `cell_size` (use the communication range), so a range query touches at
-// most the 3x3 cell block around the query point. Entries are updated
-// in-place when a node moves (the medium forwards movement updates).
+// `cell_size` (use the communication range), so a range query touches only
+// the cells its bounding box overlaps — at most a 3x3 block. Entries are
+// updated in-place when a node moves (the medium forwards movement
+// updates).
 //
 // Buckets store (id, x, y) inline — a range scan reads contiguous slots
 // and never chases a per-candidate hash lookup, which is what caps the
 // old layout well short of the 10^5-10^6-node target (DESIGN.md §12).
 // Visit order is part of the determinism contract: cells are scanned in
-// (dx, dy) ring order and slots within a bucket in insertion order, so
+// ascending (x, y) order and slots within a bucket in insertion order, so
 // broadcast delivery order — and with it the fig5-8 artifacts — is
 // bit-identical across layouts.
 #pragma once
@@ -45,9 +46,8 @@ class GridIndex {
   bool contains(Id id) const { return where_.count(id) != 0; }
   double cell_size() const { return cell_size_; }
 
-  /// All ids within `radius` of `center` (inclusive), in deterministic
-  /// ring/insertion order. Requires radius <= cell_size (one cell ring);
-  /// larger radii widen the scanned block automatically.
+  /// All ids within `radius` (>= 0) of `center` (inclusive), in the
+  /// deterministic cell/insertion order of for_each_in_range.
   std::vector<Id> query(geom::Vec2 center, double radius) const;
 
   // snap:transient(query result value type)
@@ -63,15 +63,22 @@ class GridIndex {
   /// range.
   std::optional<Hit> nearest(geom::Vec2 center, double max_radius) const;
 
-  /// Visits ids within `radius` of `center` without allocating.
+  /// Visits ids within `radius` (>= 0) of `center` without allocating.
+  /// Only the cells overlapping the query's bounding box are scanned —
+  /// 2x2 to 3x3 when the radius equals the cell size — ascending in x,
+  /// then y. The box is padded by a relative 1e-9 so a point the
+  /// squared-distance test admits never lies in a cell outside it; since
+  /// cell_of is monotone, the hits and their visit order are those of a
+  /// scan over any larger block.
   template <typename Fn>
   void for_each_in_range(geom::Vec2 center, double radius, Fn&& fn) const {
-    const auto ring = static_cast<std::int64_t>(radius / cell_size_) + 1;
-    const Cell base = cell_of(center);
+    const double reach = radius * (1.0 + 1e-9);
+    const Cell lo = cell_of(geom::Vec2{center.x - reach, center.y - reach});
+    const Cell hi = cell_of(geom::Vec2{center.x + reach, center.y + reach});
     const double radius_sq = radius * radius;
-    for (std::int64_t dx = -ring; dx <= ring; ++dx) {
-      for (std::int64_t dy = -ring; dy <= ring; ++dy) {
-        const auto it = buckets_.find(key(Cell{base.x + dx, base.y + dy}));
+    for (std::int64_t x = lo.x; x <= hi.x; ++x) {
+      for (std::int64_t y = lo.y; y <= hi.y; ++y) {
+        const auto it = buckets_.find(key(Cell{x, y}));
         if (it == buckets_.end()) continue;
         for (const Slot& slot : it->second) {
           const geom::Vec2 pos{slot.x, slot.y};

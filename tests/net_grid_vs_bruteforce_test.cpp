@@ -131,6 +131,63 @@ TEST(GridVsBruteForce, CellBoundaryLattice) {
   }
 }
 
+// Hits exactly at +-radius along each axis, on cell edges: the bounding-box
+// scan must still reach the cells holding them, and the visit order must be
+// ascending (cell x, cell y) with insertion order inside a cell — the order
+// broadcast deliveries inherit.
+TEST(GridVsBruteForce, HitsExactlyAtRadiusOnCellEdges) {
+  constexpr double kCell = 180.0;
+  struct Query {
+    geom::Vec2 center;
+    double radius;
+  };
+  // Centers on a lattice point, on one edge, and inside a cell; in each
+  // case center +- radius lands exactly on a cell edge.
+  const std::vector<Query> queries = {{{360.0, 360.0}, kCell},
+                                      {{270.0, 90.0}, 90.0},
+                                      {{450.0, -180.0}, 2.0 * kCell},
+                                      {{-90.0, -90.0}, 270.0}};
+  for (const Query& q : queries) {
+    GridIndex index(kCell);
+    std::vector<RefPoint> points;
+    GridIndex::Id next = 0;
+    const auto add = [&](geom::Vec2 p) {
+      index.insert(next, p);
+      points.push_back({next, p});
+      ++next;
+    };
+    const double r = q.radius;
+    const geom::Vec2 c = q.center;
+    add({c.x - r, c.y});  // on the boundary, exactly r away
+    add({c.x + r, c.y});
+    add({c.x, c.y - r});
+    add({c.x, c.y + r});
+    add({c.x + r * (1.0 + 1e-12), c.y});  // a hair outside: never a hit
+    add({c.x - r, c.y + 1.0});            // just outside the circle
+    add(c);
+    expect_agreement(index, points, c, r, "edge");
+    EXPECT_EQ(index.query(c, r).size(), 5u);
+
+    // Visit order: the hits sorted stably by (cell x, cell y).
+    std::vector<RefPoint> hits;
+    for (const RefPoint& p : points) {
+      if (geom::distance_sq(p.position, c) <= r * r) hits.push_back(p);
+    }
+    const auto cell = [&](double v) { return std::floor(v / kCell); };
+    std::stable_sort(hits.begin(), hits.end(),
+                     [&](const RefPoint& a, const RefPoint& b) {
+                       if (cell(a.position.x) != cell(b.position.x)) {
+                         return cell(a.position.x) < cell(b.position.x);
+                       }
+                       return cell(a.position.y) < cell(b.position.y);
+                     });
+    std::vector<GridIndex::Id> want;
+    for (const RefPoint& p : hits) want.push_back(p.id);
+    EXPECT_EQ(index.query(c, r), want)
+        << "center (" << c.x << ", " << c.y << ") radius " << r;
+  }
+}
+
 // Coincident points must all be reported by range queries, and nearest()
 // must break the tie to the lowest id regardless of insertion order.
 TEST(GridVsBruteForce, CoincidentPoints) {
