@@ -166,8 +166,7 @@ void apply_config(const util::Config& config, ScenarioParams& params) {
   params.fault.loss_good =
       config.get_double("loss_good", params.fault.loss_good);
   params.fault.loss_bad = config.get_double("loss_bad", params.fault.loss_bad);
-  params.fault.seed = static_cast<std::uint64_t>(config.get_int(
-      "fault_seed", static_cast<std::int64_t>(params.fault.seed)));
+  params.fault.seed = config.get_u64("fault_seed", params.fault.seed);
   if (config.has("crashes")) {
     params.fault.crashes = parse_crashes(config.get_string("crashes"));
   }
@@ -219,8 +218,7 @@ void apply_config(const util::Config& config, ScenarioParams& params) {
   params.traffic.pareto_shape = config.get_double(
       "traffic.pareto_shape", params.traffic.pareto_shape);
 
-  params.seed = static_cast<std::uint64_t>(
-      config.get_int("seed", static_cast<std::int64_t>(params.seed)));
+  params.seed = config.get_u64("seed", params.seed);
 }
 
 std::string to_config_string(const ScenarioParams& p) {

@@ -5,6 +5,7 @@
 // Values are retrieved typed, with parse errors reported by exception.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -31,6 +32,9 @@ class Config {
                          const std::string& fallback = "") const;
   double get_double(const std::string& key, double fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// Full-range unsigned integer (seeds). Throws std::out_of_range when
+  /// the value is negative or exceeds 2^64 - 1.
+  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const;
   /// Accepts true/false, yes/no, on/off, 1/0 (case-insensitive).
   bool get_bool(const std::string& key, bool fallback) const;
 

@@ -154,6 +154,21 @@ TEST(ScenarioIo, AppliesOverrides) {
   EXPECT_EQ(p.seed, 77u);
 }
 
+TEST(ScenarioIo, SeedsSpanTheFullUnsignedRange) {
+  // Seeds are uint64 end to end: the formatter writes values >= 2^63 and
+  // the parser must read them back, not reject them as signed overflow.
+  ScenarioParams p;
+  p.seed = 18446744073709551615ULL;
+  p.fault.seed = (1ULL << 63) + 5;
+  ScenarioParams back;
+  apply_config(util::Config::from_string(to_config_string(p)), back);
+  EXPECT_EQ(back.seed, p.seed);
+  EXPECT_EQ(back.fault.seed, p.fault.seed);
+  ScenarioParams neg;
+  EXPECT_THROW(apply_config(util::Config::from_string("seed = -1\n"), neg),
+               std::out_of_range);
+}
+
 TEST(ScenarioIo, AbsentKeysKeepDefaults) {
   ScenarioParams p;
   const ScenarioParams before = p;

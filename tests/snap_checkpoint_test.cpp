@@ -132,6 +132,25 @@ TEST(SnapCheckpoint, CostUnawareAndBaselineModesEquivalent) {
                                 core::MobilityMode::kCostUnaware, {}, 1500);
 }
 
+TEST(SnapCheckpoint, SeedsAboveTwoToTheSixtyThreeRestore) {
+  // The scenario text inside a snapshot carries both seeds as uint64;
+  // restore must read back 2^64 - 1 instead of rejecting it.
+  exp::ScenarioParams params = base_params();
+  params.seed = 18446744073709551615ULL;
+  params.fault.loss_rate = 0.1;
+  params.fault.seed = 18446744073709551615ULL;
+  expect_checkpoint_equivalence(params, core::MobilityMode::kInformed, {},
+                                900);
+
+  util::Rng rng(params.seed);
+  auto run = exp::InstanceRun::create(exp::sample_instance(params, rng),
+                                      params, core::MobilityMode::kInformed,
+                                      {});
+  auto restored = restore(encode(*run));
+  EXPECT_EQ(restored->params().seed, params.seed);
+  EXPECT_EQ(restored->params().fault.seed, params.fault.seed);
+}
+
 TEST(SnapCheckpoint, SaveRestoreFileRoundTrip) {
   const exp::ScenarioParams params = base_params();
   util::Rng rng(params.seed);

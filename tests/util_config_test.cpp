@@ -61,6 +61,23 @@ TEST(Config, TypedParseErrors) {
   EXPECT_THROW(c.get_bool("b", false), std::invalid_argument);
 }
 
+TEST(Config, UnsignedSixtyFourBitRange) {
+  const Config c = Config::from_string(
+      "max = 18446744073709551615\n"
+      "over = 18446744073709551616\n"
+      "neg = -1\n"
+      "plus = +7\n"
+      "junk = 12ab\n"
+      "word = seed\n");
+  EXPECT_EQ(c.get_u64("max", 0), 18446744073709551615ULL);
+  EXPECT_EQ(c.get_u64("plus", 0), 7u);
+  EXPECT_EQ(c.get_u64("missing", 9), 9u);
+  EXPECT_THROW(c.get_u64("over", 0), std::out_of_range);
+  EXPECT_THROW(c.get_u64("neg", 0), std::out_of_range);
+  EXPECT_THROW(c.get_u64("junk", 0), std::invalid_argument);
+  EXPECT_THROW(c.get_u64("word", 0), std::invalid_argument);
+}
+
 TEST(Config, BooleanSpellings) {
   const Config c = Config::from_string(
       "a = true\nb = FALSE\nc = Yes\nd = off\ne = 1\nf = 0\n");
