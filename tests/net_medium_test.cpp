@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/network.hpp"
 #include "test_helpers.hpp"
 
 namespace imobif::net {
@@ -115,6 +116,67 @@ TEST(Medium, DeliveryIsDelayedByPropagation) {
                    .has_value());
   h.net().simulator().run();
   EXPECT_GT(h.net().simulator().now(), sim::Time::zero());
+}
+
+TEST(Medium, BroadcastIsOneRecordSteppedPerReceiver) {
+  auto h = make_harness({{0, 0}, {100, 0}, {150, 0}, {400, 0}});
+  sim::Simulator& sim = h.net().simulator();
+  h.net().medium().broadcast(h.net().node(0), hello_from(h.net().node(0)));
+  // Two receivers: two pending events, listed as two steps of one record.
+  const auto pending = sim.pending();
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0].event.kind, sim::Event::Kind::kDeliver);
+  EXPECT_EQ(pending[0].event.fanout, 2u);
+  EXPECT_EQ(pending[0].step, 0u);
+  EXPECT_EQ(pending[1].step, 1u);
+  EXPECT_EQ(pending[1].seq, pending[0].seq + 1);
+  const Medium::InFlight& flight =
+      h.net().medium().in_flight(pending[0].event.a);
+  EXPECT_EQ(flight.receivers, (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(flight.packet.sender.id, 0u);
+  EXPECT_EQ(sim.run(), 2u);
+}
+
+TEST(Medium, FanoutInterruptedByDeathResumesInOrder) {
+  // Receive energy > 0 and stop_on_first_death: the second of four
+  // receivers dies receiving the beacon, which stops the run right after
+  // that receiver. The other two stay pending — one event each, in
+  // receiver order — and hear the beacon when the run resumes.
+  net::NetworkConfig config;
+  config.radio.rx_per_bit = 1e-6;  // a 256-bit HELLO costs 2.56e-4 J
+  config.node.charge_hello_energy = false;
+  net::Network network(config);
+  network.add_node({0, 0}, util::Joules{2000.0});
+  network.add_node({40, 0}, util::Joules{2000.0});
+  network.add_node({50, 0}, util::Joules{1e-4});  // dies receiving
+  network.add_node({60, 0}, util::Joules{2000.0});
+  network.add_node({70, 0}, util::Joules{2000.0});
+  network.set_stop_on_first_death(true);
+  sim::Simulator& sim = network.simulator();
+
+  network.node(0).send_hello_now();
+  ASSERT_EQ(sim.pending_events(), 4u);
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_TRUE(sim.stop_requested());
+  EXPECT_FALSE(network.node(2).alive());
+  EXPECT_EQ(sim.pending_events(), 2u);
+  const auto now = sim.now();
+  EXPECT_TRUE(network.node(1).neighbors().find(0, now).has_value());
+  EXPECT_FALSE(network.node(3).neighbors().find(0, now).has_value());
+  EXPECT_FALSE(network.node(4).neighbors().find(0, now).has_value());
+  const auto pending = sim.pending();
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0].step, 2u);
+  EXPECT_EQ(pending[1].step, 3u);
+  EXPECT_EQ(pending[0].when, now);
+
+  // Resume one step at a time: receiver 3 before receiver 4.
+  EXPECT_EQ(sim.run(sim::Time::infinity(), 1), 1u);
+  EXPECT_TRUE(network.node(3).neighbors().find(0, now).has_value());
+  EXPECT_FALSE(network.node(4).neighbors().find(0, now).has_value());
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_TRUE(network.node(4).neighbors().find(0, now).has_value());
+  EXPECT_EQ(sim.executed_events(), 4u);
 }
 
 TEST(Medium, DuplicateNodeIdRejected) {
