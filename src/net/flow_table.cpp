@@ -1,7 +1,5 @@
 #include "net/flow_table.hpp"
 
-#include <algorithm>
-
 namespace imobif::net {
 
 FlowEntry& FlowTable::get_or_create(const DataBody& data) {
@@ -32,16 +30,9 @@ FlowEntry& FlowTable::ensure(FlowId id) {
 }
 
 std::vector<const FlowEntry*> FlowTable::all() const {
-  // Sorted by flow id: multi-flow blending folds floating-point sums over
-  // this list, so iteration order must not depend on hash-map layout.
   std::vector<const FlowEntry*> out;
   out.reserve(entries_.size());
-  // astlint:allow(unordered-iteration): extract-then-sort; order fixed below
   for (const auto& [id, entry] : entries_) out.push_back(&entry);
-  std::sort(out.begin(), out.end(),
-            [](const FlowEntry* a, const FlowEntry* b) {
-              return a->id < b->id;
-            });
   return out;
 }
 
