@@ -2,13 +2,13 @@
 //
 // The production-scale charter (ROADMAP item 1, DESIGN.md §12) stands on
 // three core changes — grid-only neighbor discovery, struct-of-arrays hot
-// state, batched same-tick event draining. This bench charts what they
-// buy: for each node count it builds a constant-density network (the
-// paper's 100 nodes per 1000 m square, area scaled with sqrt(N)), starts
-// HELLO beaconing plus one corner-to-corner greedy flow, drains a fixed
-// event budget, and reports executed events, events/sec, and bytes/node
-// for the scale-critical structures (NodeStore columns, grid index, event
-// queue).
+// state, plain-record events with fan-out deliveries. This bench charts
+// what they buy: for each node count it builds a constant-density network
+// (the paper's 100 nodes per 1000 m square, area scaled with sqrt(N)),
+// starts HELLO beaconing plus one corner-to-corner greedy flow, drains a
+// fixed event budget, and reports executed events, events/sec, and
+// bytes/node for the scale-critical structures (NodeStore columns, grid
+// index, event queue).
 //
 // `events_executed` and `bytes_per_node` are deterministic in the seed;
 // `events_per_sec` and the wall_ms lines are machine-dependent anchors,

@@ -2,8 +2,9 @@
 // at --instances 4, must reproduce its committed baseline byte for byte.
 //
 // The repo's house invariant is that refactors of the simulator core —
-// grid-only neighbor discovery, SoA node state, batched event draining
-// (DESIGN.md §12) — leave the paper artifacts bit-identical. The committed
+// grid-only neighbor discovery, SoA node state, plain-record events with
+// fan-out deliveries (DESIGN.md §12) — leave the paper artifacts
+// bit-identical. The committed
 // BENCH_fig*_i4.json files pin that contract at a budget small enough for
 // every CI run; the full --instances 8 baselines stay the documentation
 // artifacts (bench/baselines/README.md).
