@@ -135,8 +135,7 @@ int main(int argc, char** argv) {
   }
   const auto event_budget =
       static_cast<std::size_t>(args.get_int("events", 2000000));
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", 20050610));
+  const std::uint64_t seed = args.get_u64("seed", 20050610);
   const std::string json_path = args.get_string("json", "");
 
   std::vector<std::size_t> counts;

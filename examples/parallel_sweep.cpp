@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
   const std::size_t instances =
       static_cast<std::size_t>(args.get_int("instances", 8));
   const std::size_t jobs = static_cast<std::size_t>(args.get_int("jobs", 4));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 7));
+  const std::uint64_t seed = args.get_u64("seed", 7);
 
   exp::ScenarioParams params;
   params.node_count = 60;

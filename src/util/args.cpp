@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/config.hpp"
+
 namespace imobif::util {
 
 Args::Args(int argc, const char* const* argv) {
@@ -58,6 +60,13 @@ std::int64_t Args::get_int(const std::string& key,
     throw std::invalid_argument("Args: --" + key +
                                 " expects an integer, got " + it->second);
   }
+}
+
+std::uint64_t Args::get_u64(const std::string& key,
+                           std::uint64_t fallback) const {
+  const auto it = flags_.find(key);
+  if (it == flags_.end()) return fallback;
+  return parse_u64(it->second, "Args: --" + key);
 }
 
 bool Args::get_bool(const std::string& key, bool fallback) const {

@@ -22,6 +22,10 @@ class Args {
                          const std::string& fallback = "") const;
   double get_double(const std::string& key, double fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// Full-range unsigned integer (seeds), parsed by util::parse_u64:
+  /// throws std::out_of_range when negative or above 2^64 - 1 and
+  /// std::invalid_argument on anything else that is not a number.
+  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const;
   /// A bare `--flag` counts as true; `--flag=false` etc. parse normally.
   bool get_bool(const std::string& key, bool fallback = false) const;
 

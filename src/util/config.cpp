@@ -119,29 +119,7 @@ std::uint64_t Config::get_u64(const std::string& key,
                               std::uint64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
-  if (!text.empty() && text.front() == '-') {
-    throw std::out_of_range("Config: key '" + key +
-                            "' must not be negative: " + text);
-  }
-  const char* first = text.data();
-  const char* last = text.data() + text.size();
-  if (first != last && *first == '+') ++first;
-  std::uint64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec == std::errc::result_out_of_range) {
-    throw std::out_of_range("Config: key '" + key +
-                            "' exceeds 2^64 - 1: " + text);
-  }
-  if (ec != std::errc{} || first == last) {
-    throw std::invalid_argument("Config: key '" + key +
-                                "' is not an unsigned integer: " + text);
-  }
-  if (ptr != last) {
-    throw std::invalid_argument("Config: trailing junk in '" + key +
-                                "': " + text);
-  }
-  return value;
+  return parse_u64(it->second, "Config: key '" + key + "'");
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
@@ -152,6 +130,28 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
   if (v == "false" || v == "no" || v == "off" || v == "0") return false;
   throw std::invalid_argument("Config: key '" + key +
                               "' is not a boolean: " + it->second);
+}
+
+std::uint64_t parse_u64(const std::string& text, const std::string& what) {
+  if (!text.empty() && text.front() == '-') {
+    throw std::out_of_range(what + " must not be negative: " + text);
+  }
+  const char* first = text.data();
+  const char* last = text.data() + text.size();
+  if (first != last && *first == '+') ++first;
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(first, last, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::out_of_range(what + " exceeds 2^64 - 1: " + text);
+  }
+  if (ec != std::errc{} || first == last) {
+    throw std::invalid_argument(what + " is not an unsigned integer: " +
+                                text);
+  }
+  if (ptr != last) {
+    throw std::invalid_argument(what + " has trailing junk: " + text);
+  }
+  return value;
 }
 
 }  // namespace imobif::util

@@ -46,4 +46,12 @@ class Config {
   std::unordered_map<std::string, std::string> values_;
 };
 
+/// Parses `text` as a full-range unsigned 64-bit integer (seeds), with an
+/// optional leading '+'. Throws std::out_of_range when the value is
+/// negative or exceeds 2^64 - 1, and std::invalid_argument when it is not
+/// a number or has trailing junk. `what` names the value in the message
+/// (e.g. "Config: key 'seed'" or "Args: --seed"). Config::get_u64 and
+/// Args::get_u64 both parse through it.
+std::uint64_t parse_u64(const std::string& text, const std::string& what);
+
 }  // namespace imobif::util

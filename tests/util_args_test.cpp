@@ -62,6 +62,19 @@ TEST(Args, TypeErrorsThrow) {
   EXPECT_THROW(a.get_bool("b"), std::invalid_argument);
 }
 
+TEST(Args, U64TakesTheFullRange) {
+  const Args a = parse({"prog", "--max=18446744073709551615", "--plus=+7",
+                        "--neg=-1", "--over=18446744073709551616",
+                        "--junk=12ab", "--word=seed"});
+  EXPECT_EQ(a.get_u64("max", 0), 18446744073709551615ULL);
+  EXPECT_EQ(a.get_u64("plus", 0), 7u);
+  EXPECT_EQ(a.get_u64("missing", 9), 9u);
+  EXPECT_THROW(a.get_u64("neg", 0), std::out_of_range);
+  EXPECT_THROW(a.get_u64("over", 0), std::out_of_range);
+  EXPECT_THROW(a.get_u64("junk", 0), std::invalid_argument);
+  EXPECT_THROW(a.get_u64("word", 0), std::invalid_argument);
+}
+
 TEST(Args, FallbacksForAbsentKeys) {
   const Args a = parse({"prog"});
   EXPECT_DOUBLE_EQ(a.get_double("k", 2.5), 2.5);
