@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "runtime/sweep.hpp"
 #include "util/args.hpp"
 #include "util/ascii_plot.hpp"
+#include "util/config.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -40,56 +42,74 @@ struct BenchConfig {
   runtime::CheckpointOptions checkpoint;
 };
 
+inline void print_bench_usage(std::ostream& out, const std::string& program,
+                              std::size_t default_instances) {
+  out << "usage: " << program
+      << " [N] [--instances N] [--seed S] [--jobs N] [--json PATH]"
+         " [--loss P] [--fault-seed S]\n"
+         "       [--checkpoint-dir D] [--resume]"
+         " [--checkpoint-every-s T]\n"
+         "  N / --instances  flow instances per series (default "
+      << default_instances
+      << ")\n"
+         "  --seed           override the scenario base seed\n"
+         "  --jobs           worker threads (default 1)\n"
+         "  --json           write results as a JSON artifact\n"
+         "  --loss           injected channel loss probability in "
+         "[0, 1) (default 0,\n"
+         "                   enables notification retries when > 0)\n"
+         "  --fault-seed     seed for the fault injector (default: "
+         "scenario seed)\n"
+         "  --checkpoint-dir persist per-unit results and periodic\n"
+         "                   checkpoints so a killed sweep can resume\n"
+         "  --resume         reuse files found in --checkpoint-dir\n"
+         "  --checkpoint-every-s  checkpoint cadence in simulated\n"
+         "                   seconds (default 30)\n";
+}
+
+/// Parses the shared flags. `--help` prints the usage and exits 0; a flag
+/// value that does not parse prints `<program>: <message>` and the usage
+/// to stderr and exits 2.
 inline BenchConfig parse_bench_args(int argc, char** argv,
                                     std::size_t default_instances) {
   const util::Args args(argc, argv);
   if (args.has("help")) {
-    std::cout << "usage: " << args.program()
-              << " [N] [--instances N] [--seed S] [--jobs N] [--json PATH]"
-                 " [--loss P] [--fault-seed S]\n"
-                 "       [--checkpoint-dir D] [--resume]"
-                 " [--checkpoint-every-s T]\n"
-                 "  N / --instances  flow instances per series (default "
-              << default_instances
-              << ")\n"
-                 "  --seed           override the scenario base seed\n"
-                 "  --jobs           worker threads (default 1)\n"
-                 "  --json           write results as a JSON artifact\n"
-                 "  --loss           injected channel loss probability in "
-                 "[0, 1) (default 0,\n"
-                 "                   enables notification retries when > 0)\n"
-                 "  --fault-seed     seed for the fault injector (default: "
-                 "scenario seed)\n"
-                 "  --checkpoint-dir persist per-unit results and periodic\n"
-                 "                   checkpoints so a killed sweep can resume\n"
-                 "  --resume         reuse files found in --checkpoint-dir\n"
-                 "  --checkpoint-every-s  checkpoint cadence in simulated\n"
-                 "                   seconds (default 30)\n";
+    print_bench_usage(std::cout, args.program(), default_instances);
     std::exit(0);
   }
+  const auto reject = [&args, default_instances](const std::exception& e) {
+    std::cerr << args.program() << ": " << e.what() << "\n";
+    print_bench_usage(std::cerr, args.program(), default_instances);
+    std::exit(2);
+  };
   BenchConfig config;
-  config.instances = default_instances;
-  if (!args.positional().empty()) {
-    config.instances = std::stoul(args.positional().front());
+  try {
+    config.instances = default_instances;
+    if (!args.positional().empty()) {
+      config.instances = util::parse_u64(args.positional().front(), "N");
+    }
+    config.instances = args.get_u64("instances", config.instances);
+    config.seed_set = args.has("seed");
+    if (config.seed_set) {
+      config.seed = args.get_u64("seed", 0);
+    }
+    const std::int64_t jobs = args.get_int("jobs", 1);
+    config.jobs = jobs < 1 ? 1 : static_cast<std::size_t>(jobs);
+    config.json_path = args.get_string("json", "");
+    config.loss = args.get_double("loss", 0.0);
+    config.fault_seed_set = args.has("fault-seed");
+    if (config.fault_seed_set) {
+      config.fault_seed = args.get_u64("fault-seed", 0);
+    }
+    config.checkpoint.dir = args.get_string("checkpoint-dir", "");
+    config.checkpoint.resume = args.get_bool("resume", false);
+    config.checkpoint.every_sim_s =
+        args.get_double("checkpoint-every-s", config.checkpoint.every_sim_s);
+  } catch (const std::invalid_argument& e) {
+    reject(e);
+  } catch (const std::out_of_range& e) {
+    reject(e);
   }
-  config.instances = static_cast<std::size_t>(
-      args.get_int("instances", static_cast<std::int64_t>(config.instances)));
-  config.seed_set = args.has("seed");
-  if (config.seed_set) {
-    config.seed = args.get_u64("seed", 0);
-  }
-  const std::int64_t jobs = args.get_int("jobs", 1);
-  config.jobs = jobs < 1 ? 1 : static_cast<std::size_t>(jobs);
-  config.json_path = args.get_string("json", "");
-  config.loss = args.get_double("loss", 0.0);
-  config.fault_seed_set = args.has("fault-seed");
-  if (config.fault_seed_set) {
-    config.fault_seed = args.get_u64("fault-seed", 0);
-  }
-  config.checkpoint.dir = args.get_string("checkpoint-dir", "");
-  config.checkpoint.resume = args.get_bool("resume", false);
-  config.checkpoint.every_sim_s =
-      args.get_double("checkpoint-every-s", config.checkpoint.every_sim_s);
   return config;
 }
 

@@ -1,14 +1,14 @@
 // scale_sweep: events/sec and bytes/node from 1e2 to 1e6 nodes.
 //
 // The production-scale charter (ROADMAP item 1, DESIGN.md §12) stands on
-// three core changes — grid-only neighbor discovery, struct-of-arrays hot
-// state, plain-record events with fan-out deliveries. This bench charts
-// what they buy: for each node count it builds a constant-density network
+// grid-only neighbor discovery, dense id-indexed node tables and
+// plain-record events with fan-out deliveries. This bench charts what
+// they buy: for each node count it builds a constant-density network
 // (the paper's 100 nodes per 1000 m square, area scaled with sqrt(N)),
 // starts HELLO beaconing plus one corner-to-corner greedy flow, drains a
 // fixed event budget, and reports executed events, events/sec, and
-// bytes/node for the scale-critical structures (NodeStore columns, grid
-// index, event queue).
+// bytes/node for the scale-critical structures (the Node objects in the
+// NodeStore, grid index, event queue).
 //
 // `events_executed` and `bytes_per_node` are deterministic in the seed;
 // `events_per_sec` and the wall_ms lines are machine-dependent anchors,

@@ -20,11 +20,10 @@ Joules Battery::draw(Joules amount, DrawKind kind) {
   if (amount < Joules{0.0}) {
     throw std::invalid_argument("Battery: negative draw");
   }
-  Joules& residual = res();
-  const bool was_alive = residual > Joules{0.0};
-  const Joules drawn = util::min(amount, residual);
-  residual -= drawn;
-  IMOBIF_ASSERT(residual >= Joules{0.0},
+  const bool was_alive = residual_ > Joules{0.0};
+  const Joules drawn = util::min(amount, residual_);
+  residual_ -= drawn;
+  IMOBIF_ASSERT(residual_ >= Joules{0.0},
                 "battery residual can never go negative");
   switch (kind) {
     case DrawKind::kTransmit:
@@ -37,7 +36,7 @@ Joules Battery::draw(Joules amount, DrawKind kind) {
       consumed_other_ += drawn;
       break;
   }
-  if (was_alive && residual <= Joules{0.0} && on_depleted_) on_depleted_();
+  if (was_alive && residual_ <= Joules{0.0} && on_depleted_) on_depleted_();
   return drawn;
 }
 
@@ -49,7 +48,7 @@ void Battery::restore(Joules initial, Joules residual, Joules consumed_tx,
     throw std::invalid_argument("Battery: inconsistent restore state");
   }
   initial_ = initial;
-  res() = residual;
+  residual_ = residual;
   consumed_transmit_ = consumed_tx;
   consumed_move_ = consumed_move;
   consumed_other_ = consumed_other;
@@ -61,7 +60,7 @@ void Battery::recharge(Joules initial) {
     throw std::invalid_argument("Battery: negative recharge");
   }
   initial_ = initial;
-  res() = initial;
+  residual_ = initial;
   consumed_transmit_ = consumed_move_ = consumed_other_ = Joules{0.0};
 }
 

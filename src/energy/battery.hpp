@@ -21,28 +21,18 @@ class Battery {
  public:
   explicit Battery(util::Joules initial);
 
-  util::Joules residual() const { return res(); }
+  util::Joules residual() const { return residual_; }
   util::Joules initial() const { return initial_; }
-  bool depleted() const { return res() <= util::Joules{0.0}; }
-
-  /// Redirects residual-energy storage into an external cell (the
-  /// net::NodeStore struct-of-arrays column, DESIGN.md §12). The current
-  /// residual is copied into `*cell`; all subsequent reads and writes go
-  /// through it. The cell must outlive the battery and stay
-  /// address-stable; pass nullptr to fall back to inline storage.
-  void bind_residual_cell(util::Joules* cell) {
-    if (cell != nullptr) *cell = res();
-    cell_ = cell;
-  }
+  bool depleted() const { return residual_ <= util::Joules{0.0}; }
 
   /// Draws up to `amount`; returns the energy actually drawn (less than
   /// requested only when the battery empties).
   util::Joules draw(util::Joules amount, DrawKind kind);
 
   /// True when the battery currently holds at least `amount`.
-  bool can_afford(util::Joules amount) const { return res() >= amount; }
+  bool can_afford(util::Joules amount) const { return residual_ >= amount; }
 
-  util::Joules consumed_total() const { return initial_ - res(); }
+  util::Joules consumed_total() const { return initial_ - residual_; }
   util::Joules consumed_transmit() const { return consumed_transmit_; }
   util::Joules consumed_move() const { return consumed_move_; }
   util::Joules consumed_other() const { return consumed_other_; }
@@ -63,21 +53,11 @@ class Battery {
                util::Joules consumed_other);
 
  private:
-  /// Residual storage: the bound external cell when present, the inline
-  /// member otherwise. Copying a battery copies the binding, so bound
-  /// batteries should not be copied (Node never does).
-  util::Joules& res() { return cell_ != nullptr ? *cell_ : residual_; }
-  const util::Joules& res() const {
-    return cell_ != nullptr ? *cell_ : residual_;
-  }
-
   util::Joules initial_;
   util::Joules residual_;
   util::Joules consumed_transmit_;
   util::Joules consumed_move_;
   util::Joules consumed_other_;
-  // snap:derived(bind_residual_cell)
-  util::Joules* cell_ = nullptr;
   // snap:transient(depletion callback wired by the owning node at attach time)
   std::function<void()> on_depleted_;
 };

@@ -25,19 +25,18 @@ std::uint64_t GridIndex::key(Cell c) {
 }
 
 void GridIndex::insert(Id id, geom::Vec2 position) {
+  if (contains(id)) throw std::invalid_argument("GridIndex: duplicate id");
   const std::uint64_t cell_key = key(cell_of(position));
-  if (!where_.emplace(id, cell_key).second) {
-    throw std::invalid_argument("GridIndex: duplicate id");
-  }
+  if (id >= where_.size()) where_.resize(std::size_t{id} + 1);
+  where_[id] = cell_key;
+  ++count_;
   buckets_[cell_key].push_back(Slot{id, position.x, position.y});
 }
 
 void GridIndex::update(Id id, geom::Vec2 new_position) {
-  const auto it = where_.find(id);
-  if (it == where_.end()) {
-    throw std::out_of_range("GridIndex: update of unknown id");
-  }
-  const std::uint64_t old_key = it->second;
+  if (!contains(id)) throw std::out_of_range("GridIndex: update of unknown id");
+  std::uint64_t& where = *where_[id];
+  const std::uint64_t old_key = where;
   const std::uint64_t new_key = key(cell_of(new_position));
   auto& old_bucket = buckets_[old_key];
   const auto slot = std::find_if(
@@ -53,17 +52,18 @@ void GridIndex::update(Id id, geom::Vec2 new_position) {
   old_bucket.erase(slot);
   if (old_bucket.empty()) buckets_.erase(old_key);
   buckets_[new_key].push_back(Slot{id, new_position.x, new_position.y});
-  it->second = new_key;
+  where = new_key;
 }
 
 void GridIndex::remove(Id id) {
-  const auto it = where_.find(id);
-  if (it == where_.end()) return;
-  auto& bucket = buckets_[it->second];
+  if (!contains(id)) return;
+  const std::uint64_t cell_key = *where_[id];
+  auto& bucket = buckets_[cell_key];
   bucket.erase(std::find_if(bucket.begin(), bucket.end(),
                             [id](const Slot& s) { return s.id == id; }));
-  if (bucket.empty()) buckets_.erase(it->second);
-  where_.erase(it);
+  if (bucket.empty()) buckets_.erase(cell_key);
+  where_[id].reset();
+  --count_;
 }
 
 std::vector<GridIndex::Id> GridIndex::query(geom::Vec2 center,
@@ -76,7 +76,7 @@ std::vector<GridIndex::Id> GridIndex::query(geom::Vec2 center,
 
 std::optional<GridIndex::Hit> GridIndex::nearest(geom::Vec2 center,
                                                  double max_radius) const {
-  if (max_radius < 0.0 || where_.empty()) return std::nullopt;
+  if (max_radius < 0.0 || count_ == 0) return std::nullopt;
   const Cell base = cell_of(center);
   const double max_sq = max_radius * max_radius;
   const auto max_ring = static_cast<std::int64_t>(max_radius / cell_size_) + 1;
@@ -137,14 +137,13 @@ std::size_t GridIndex::approx_bytes() const {
     (void)cell_key;
     bucket_bytes += bucket.capacity() * sizeof(Slot);
   }
-  // Flat estimates for the node-based maps: payload plus two pointers of
+  // Flat estimate for the bucket map: payload plus two pointers of
   // bookkeeping per node; a floor, not an exact figure.
   using BucketPair =
       std::pair<const std::uint64_t, std::vector<Slot>>;
-  using WherePair = std::pair<const Id, std::uint64_t>;
   return bucket_bytes +
          buckets_.size() * (sizeof(BucketPair) + 2 * sizeof(void*)) +
-         where_.size() * (sizeof(WherePair) + 2 * sizeof(void*));
+         where_.capacity() * sizeof(where_[0]);
 }
 
 }  // namespace imobif::net

@@ -34,6 +34,8 @@ class GridIndex {
   explicit GridIndex(double cell_size);
 
   /// Inserts an id at a position; the id must not already be present.
+  /// Ids index a table that grows to the largest one inserted, so they
+  /// should be dense from 0 (node ids are).
   void insert(Id id, geom::Vec2 position);
 
   /// Moves an existing id; cheap when the cell does not change.
@@ -42,8 +44,10 @@ class GridIndex {
   /// Removes an id; no-op when absent.
   void remove(Id id);
 
-  std::size_t size() const { return where_.size(); }
-  bool contains(Id id) const { return where_.count(id) != 0; }
+  std::size_t size() const { return count_; }
+  bool contains(Id id) const {
+    return id < where_.size() && where_[id].has_value();
+  }
   double cell_size() const { return cell_size_; }
 
   /// All ids within `radius` (>= 0) of `center` (inclusive), in the
@@ -108,8 +112,11 @@ class GridIndex {
 
   double cell_size_;
   std::unordered_map<std::uint64_t, std::vector<Slot>> buckets_;
-  /// id -> key of the bucket currently holding its slot.
-  std::unordered_map<Id, std::uint64_t> where_;
+  /// id -> key of the bucket currently holding its slot, indexed by the
+  /// (dense) id; empty for an id not in the index. Every uint64 is a
+  /// possible key(), so absence cannot be a sentinel key.
+  std::vector<std::optional<std::uint64_t>> where_;
+  std::size_t count_ = 0;
 };
 
 }  // namespace imobif::net

@@ -9,7 +9,6 @@
 // zero-runtime-change static-analysis PR.
 // snaplint:allow(layer-violation): deliberate net->traffic seam
 #include "traffic/generator.hpp"
-#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace imobif::net {
@@ -65,29 +64,13 @@ Node::Services Network::services() {
   s.routing = routing_.get();
   s.policy = policy_;
   s.events = this;
-  s.store = &store_;
   return s;
 }
 
 Node& Network::add_node(geom::Vec2 position, Joules initial_energy) {
-  const auto id = static_cast<NodeId>(nodes_.size());
-  [[maybe_unused]] const NodeStore::Index slot =
-      store_.add(position, initial_energy);
-  IMOBIF_ASSERT(slot == id, "NodeStore slots must track dense node ids");
-  nodes_.push_back(std::make_unique<Node>(id, position, initial_energy,
-                                          services(), config_.node));
-  medium_.attach(*nodes_.back());
-  return *nodes_.back();
-}
-
-Node& Network::node(NodeId id) {
-  if (id >= nodes_.size()) throw std::out_of_range("Network::node: bad id");
-  return *nodes_[id];
-}
-
-const Node& Network::node(NodeId id) const {
-  if (id >= nodes_.size()) throw std::out_of_range("Network::node: bad id");
-  return *nodes_[id];
+  Node& node = store_.add(position, initial_energy, services(), config_.node);
+  medium_.attach(node);
+  return node;
 }
 
 namespace {
@@ -99,16 +82,16 @@ namespace {
 
 void Network::set_routing(std::unique_ptr<RoutingProtocol> routing) {
   routing_ = std::move(routing);
-  for (auto& n : nodes_) n->rebind_services(services());
+  store_.for_each([this](Node& n) { n.rebind_services(services()); });
 }
 
 void Network::set_policy(MobilityPolicy* policy) {
   policy_ = policy;
-  for (auto& n : nodes_) n->rebind_services(services());
+  store_.for_each([this](Node& n) { n.rebind_services(services()); });
 }
 
 void Network::start_hellos() {
-  for (auto& n : nodes_) n->start_hello();
+  store_.for_each([](Node& n) { n.start_hello(); });
 }
 
 void Network::warmup(Seconds warmup) {
@@ -117,8 +100,8 @@ void Network::warmup(Seconds warmup) {
 }
 
 void Network::start_flow(const FlowSpec& spec) {
-  if (spec.id == kInvalidFlow || spec.source >= nodes_.size() ||
-      spec.destination >= nodes_.size() || spec.source == spec.destination) {
+  if (spec.id == kInvalidFlow || spec.source >= store_.size() ||
+      spec.destination >= store_.size() || spec.source == spec.destination) {
     throw std::invalid_argument("start_flow: invalid spec");
   }
   if (spec.length_bits <= Bits{0.0} || spec.packet_bits <= Bits{0.0} ||
@@ -138,7 +121,6 @@ void Network::start_flow(const FlowSpec& spec) {
   entry.strategy = spec.strategy;
   entry.residual_bits = spec.length_bits;
   entry.mobility_enabled = spec.initially_enabled;
-  src.sync_flow_aggregate();
 
   if (config_.traffic.enabled()) {
     // Per-flow generator stream forked from the instance's traffic seed:
@@ -265,26 +247,29 @@ Seconds Network::run_flows(Seconds horizon_s, Seconds stall_window_s) {
 
 Joules Network::total_transmit_energy() const {
   Joules sum{0.0};
-  for (const auto& n : nodes_) sum += n->battery().consumed_transmit();
+  store_.for_each(
+      [&sum](const Node& n) { sum += n.battery().consumed_transmit(); });
   return sum;
 }
 
 Joules Network::total_movement_energy() const {
   Joules sum{0.0};
-  for (const auto& n : nodes_) sum += n->battery().consumed_move();
+  store_.for_each(
+      [&sum](const Node& n) { sum += n.battery().consumed_move(); });
   return sum;
 }
 
 Joules Network::total_consumed_energy() const {
   Joules sum{0.0};
-  for (const auto& n : nodes_) sum += n->battery().consumed_total();
+  store_.for_each(
+      [&sum](const Node& n) { sum += n.battery().consumed_total(); });
   return sum;
 }
 
 std::vector<geom::Vec2> Network::positions() const {
   std::vector<geom::Vec2> out;
-  out.reserve(nodes_.size());
-  for (const auto& n : nodes_) out.push_back(n->position());
+  out.reserve(store_.size());
+  store_.for_each([&out](const Node& n) { out.push_back(n.position()); });
   return out;
 }
 

@@ -11,6 +11,7 @@
 #include "energy/radio_model.hpp"
 #include "net/medium.hpp"
 #include "net/node.hpp"
+#include "net/node_store.hpp"
 #include "net/routing.hpp"
 #include "sim/simulator.hpp"
 // Network owns its traffic generators; the net->traffic seam is deliberate
@@ -81,14 +82,14 @@ class Network : public NetworkEvents, public sim::EventHandler {
   const energy::RadioEnergyModel& radio() const { return radio_; }
   const NetworkConfig& config() const { return config_; }
 
-  /// Adds a node; ids are dense, starting at 0. Hot per-node state lives
-  /// in the struct-of-arrays store() and the Node binds to its slot.
+  /// Adds a node; ids are dense, starting at 0.
   Node& add_node(geom::Vec2 position, util::Joules initial_energy);
-  Node& node(NodeId id);
-  const Node& node(NodeId id) const;
-  std::size_t node_count() const { return nodes_.size(); }
+  /// Throws std::out_of_range for an id no node has.
+  Node& node(NodeId id) { return store_.at(id); }
+  const Node& node(NodeId id) const { return store_.at(id); }
+  std::size_t node_count() const { return store_.size(); }
 
-  /// Struct-of-arrays hot-state columns (DESIGN.md §12), indexed by NodeId.
+  /// The nodes, indexed by NodeId (DESIGN.md §12).
   const NodeStore& store() const { return store_; }
 
   /// Installs the routing protocol (owned by the network, shared by nodes).
@@ -195,13 +196,11 @@ class Network : public NetworkEvents, public sim::EventHandler {
   // snap:derived(Simulator::restore_clock)
   sim::Simulator sim_;
   energy::RadioEnergyModel radio_;
-  NodeStore store_;
   Medium medium_;
   std::unique_ptr<RoutingProtocol> routing_;
   MobilityPolicy* policy_ = nullptr;
   NetworkEvents* tap_ = nullptr;
-  // snap:derived(add_node)
-  std::vector<std::unique_ptr<Node>> nodes_;
+  NodeStore store_;
   std::map<FlowId, FlowProgress> flows_;
   // snap:derived(restore_traffic_state)
   std::map<FlowId, std::unique_ptr<traffic::Generator>> traffic_;

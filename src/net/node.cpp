@@ -56,13 +56,6 @@ Node::Node(NodeId id, geom::Vec2 position, Joules initial_energy,
       services_.radio == nullptr) {
     throw std::invalid_argument("Node: sim, medium and radio are required");
   }
-  pos_cell_ = &position_;
-  if (services_.store != nullptr && services_.store->has(id_)) {
-    pos_cell_ = services_.store->position_cell(id_);
-    *pos_cell_ = position;
-    battery_.bind_residual_cell(services_.store->residual_cell(id_));
-    flow_cell_ = services_.store->flow_cell(id_);
-  }
   battery_.set_depletion_callback([this] {
     stop_hello();
     if (services_.events != nullptr) services_.events->on_node_depleted(*this);
@@ -82,12 +75,12 @@ void Node::set_faulted(bool faulted) {
 }
 
 void Node::set_position(geom::Vec2 p) {
-  pos() = p;
+  position_ = p;
   services_.medium->node_moved(id_, p);
 }
 
 geom::Vec2 Node::advertised_position() const {
-  if (config_.position_error_m <= Meters{0.0}) return pos();
+  if (config_.position_error_m <= Meters{0.0}) return position_;
   // Localization error is a slowly varying per-node *bias*, not white
   // noise: multilateration against quasi-static references drifts over
   // re-localization periods, so the offset is re-drawn once per 100 s
@@ -104,7 +97,7 @@ geom::Vec2 Node::advertised_position() const {
                     0x1.0p-53;
   const double angle = 2.0 * M_PI * u1;
   const double radius = config_.position_error_m.value() * std::sqrt(u2);
-  return pos() +
+  return position_ +
          geom::Vec2{radius * std::cos(angle), radius * std::sin(angle)};
 }
 
@@ -184,7 +177,7 @@ bool Node::transmit(Packet pkt, NodeId next, geom::Vec2 next_position) {
   const Node* peer = services_.medium->find_node(next);
   const geom::Vec2 actual =
       peer != nullptr ? peer->position() : next_position;
-  const Meters dist{geom::distance(pos(), actual)};
+  const Meters dist{geom::distance(position_, actual)};
   const Joules cost = services_.radio->transmit_energy(dist, pkt.size_bits);
   const Joules drawn = battery_.draw(cost, energy::DrawKind::kTransmit);
   if (drawn + Joules{1e-15} < cost) {
@@ -216,8 +209,8 @@ Meters Node::move_towards(geom::Vec2 target, Meters max_step,
   IMOBIF_ENSURE(std::isfinite(target.x) && std::isfinite(target.y),
                 "movement target must be finite");
   if (!alive() || faulted_) return Meters{0.0};
-  geom::Vec2 desired = geom::step_towards(pos(), target, max_step.value());
-  Meters dist{geom::distance(pos(), desired)};
+  geom::Vec2 desired = geom::step_towards(position_, target, max_step.value());
+  Meters dist{geom::distance(position_, desired)};
   IMOBIF_ASSERT(dist <= max_step * (1.0 + 1e-12) + Meters{1e-9},
                 "per-packet mobility step exceeded its bound");
   if (dist <= Meters{0.0}) return Meters{0.0};
@@ -225,12 +218,12 @@ Meters Node::move_towards(geom::Vec2 target, Meters max_step,
     const Meters affordable = battery_.residual() / cost_per_meter;
     if (affordable < dist) {
       // Move as far as the battery allows, then die en route.
-      desired = geom::step_towards(pos(), desired, affordable.value());
-      dist = Meters{geom::distance(pos(), desired)};
+      desired = geom::step_towards(position_, desired, affordable.value());
+      dist = Meters{geom::distance(position_, desired)};
     }
     battery_.draw(dist * cost_per_meter, energy::DrawKind::kMove);
   }
-  pos() = desired;
+  position_ = desired;
   IMOBIF_ASSERT(std::isfinite(desired.x) && std::isfinite(desired.y),
                 "node position must stay finite after a mobility step");
   services_.medium->node_moved(id_, desired);
@@ -251,7 +244,6 @@ bool Node::originate_data(DataBody data) {
   entry.destination = data.destination;
   entry.strategy = data.strategy;
   entry.residual_bits = data.residual_flow_bits;
-  sync_flow_aggregate();
 
   if (entry.next == kInvalidNode && services_.routing != nullptr) {
     entry.next = services_.routing->next_hop(*this, data.destination);
@@ -335,7 +327,6 @@ void Node::handle_recruit(const RecruitBody& body) {
   entry.strategy = body.strategy;
   entry.residual_bits = body.residual_flow_bits;
   entry.mobility_enabled = body.mobility_enabled;
-  sync_flow_aggregate();
   if (services_.events != nullptr) {
     services_.events->on_recruited(*this, body);
   }
@@ -360,7 +351,6 @@ void Node::handle_data(DataBody data, const SenderStamp& from) {
   entry.prev = from.id;
   entry.strategy = data.strategy;
   entry.residual_bits = data.residual_flow_bits;
-  sync_flow_aggregate();
 
   if (data.destination == id_) {
     // Figure 1, lines 7-11: deliver and run UpdateMobilityStatus.
@@ -396,7 +386,6 @@ void Node::handle_data(DataBody data, const SenderStamp& from) {
     return;
   }
   ++entry.packets_relayed;
-  if (flow_cell_ != nullptr) ++flow_cell_->packets_relayed;
   if (services_.policy != nullptr) {
     services_.policy->on_relay(*this, data, entry);
   }
@@ -525,15 +514,6 @@ void Node::arm_notify_retry(FlowEntry& entry, sim::Time when) {
   cancel_notify_retry(entry);
   entry.notify_retry_event =
       services_.sim->at(when, sim::Event::notify_retry(id_, entry.id));
-}
-
-void Node::sync_flow_aggregate() {
-  if (flow_cell_ == nullptr) return;
-  flow_cell_->active_flows = static_cast<std::uint32_t>(flows_.size());
-  std::uint64_t relayed = 0;
-  flows_.for_each(
-      [&relayed](const FlowEntry& entry) { relayed += entry.packets_relayed; });
-  flow_cell_->packets_relayed = relayed;
 }
 
 void Node::cancel_notify_retry(FlowEntry& entry) {

@@ -16,7 +16,6 @@
 #include "net/medium.hpp"
 #include "net/mobility_policy.hpp"
 #include "net/neighbor_table.hpp"
-#include "net/node_store.hpp"
 #include "net/packet.hpp"
 #include "net/routing.hpp"
 #include "sim/simulator.hpp"
@@ -93,11 +92,6 @@ class Node {
     RoutingProtocol* routing = nullptr;
     MobilityPolicy* policy = nullptr;
     NetworkEvents* events = nullptr;
-    /// Struct-of-arrays hot-state store (DESIGN.md §12). When set and
-    /// holding a slot for this node's id, position and residual energy
-    /// live in the store's columns; when null (free-standing test nodes)
-    /// the node falls back to inline members. Behavior is identical.
-    NodeStore* store = nullptr;
   };
 
   Node(NodeId id, geom::Vec2 position, util::Joules initial_energy,
@@ -107,7 +101,7 @@ class Node {
   Node& operator=(const Node&) = delete;
 
   NodeId id() const { return id_; }
-  geom::Vec2 position() const { return pos(); }
+  geom::Vec2 position() const { return position_; }
   void set_position(geom::Vec2 p);
   /// The position this node advertises in stamps/HELLOs — the true one
   /// plus the configured localization error (see NodeConfig).
@@ -192,12 +186,6 @@ class Node {
   void restore_faulted(bool faulted) { faulted_ = faulted; }
   void restore_total_moved(util::Meters meters) { total_moved_ = meters; }
 
-  /// Recomputes this node's NodeStore flow aggregate from the flow table.
-  /// Call after mutating the table through flows() from outside the node
-  /// (flow start, checkpoint restore); the node's own handlers keep the
-  /// aggregate current themselves. No-op without a bound store slot.
-  void sync_flow_aggregate();
-
  private:
   void handle_data(DataBody data, const SenderStamp& from);
   void handle_recruit(const RecruitBody& body);
@@ -215,18 +203,8 @@ class Node {
   void cancel_notify_retry(FlowEntry& entry);
   Packet stamp(PacketType type, NodeId link_dest, util::Bits size_bits) const;
 
-  /// Position storage: the NodeStore column cell when bound, the inline
-  /// member otherwise. Node is neither copyable nor movable, so the
-  /// self-pointing fallback is safe.
-  geom::Vec2& pos() { return *pos_cell_; }
-  const geom::Vec2& pos() const { return *pos_cell_; }
-
   NodeId id_;
   geom::Vec2 position_;
-  // snap:transient(rebound to the NodeStore cell at construction)
-  geom::Vec2* pos_cell_ = nullptr;
-  // snap:transient(rebound to the NodeStore cell at construction)
-  FlowAggregate* flow_cell_ = nullptr;
   energy::Battery battery_;
   NeighborTable neighbors_;
   FlowTable flows_;

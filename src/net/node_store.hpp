@@ -1,121 +1,62 @@
-// NodeStore: struct-of-arrays storage for the hot per-node simulation
-// state — position, residual energy, and flow aggregates (DESIGN.md §12).
+// NodeStore: the Network's dense, id-indexed owner of its Node objects
+// (DESIGN.md §12).
 //
-// At 10^5-10^6 nodes the Node objects themselves (neighbor tables, flow
-// tables, service bindings) are too large to stream through the cache on
-// the hot paths that only need a position or a residual-energy reading.
-// The store keeps exactly those fields in dense per-field columns, and
-// Node transparently binds its accessors to its slot at construction: the
-// public Node API is unchanged, code that iterates "all positions" or
-// "total residual energy" walks contiguous memory.
-//
-// Columns are chunked (fixed-size blocks, never reallocated) so a cell
-// pointer handed out to a Node or a Battery stays valid as the store
-// grows. Slot indices are the dense NodeIds the Network assigns.
-//
-// Free-standing nodes (unit tests construct Nodes without a Network) take
-// a private inline fallback instead; the store is an optimization layer,
-// not a requirement.
+// A node's position and residual energy live in the Node (and its
+// Battery) as plain members; the store only owns the objects. Node is
+// neither copyable nor movable and the Medium keeps raw pointers to it,
+// so each node is heap-allocated once and never relocated. A node's slot
+// index is its NodeId.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 #include <vector>
 
 #include "geom/vec2.hpp"
+#include "net/ids.hpp"
+#include "net/node.hpp"
 #include "util/units.hpp"
 
 namespace imobif::net {
 
-/// Per-node roll-up of the flow table: enough for load monitoring and
-/// scale accounting without touching the per-flow hash map. Derived data —
-/// rebuilt from the flow tables after a checkpoint restore, never
-/// checkpointed itself.
-struct FlowAggregate {
-  // snap:derived(Node::sync_flow_aggregate)
-  std::uint32_t active_flows = 0;
-  std::uint64_t packets_relayed = 0;
-};
-
-// snap:transient(SoA mirror refilled by the node-restore loop)
 class NodeStore {
  public:
-  using Index = std::uint32_t;
+  /// Creates the next node with id size(), so ids are dense from 0.
+  Node& add(geom::Vec2 position, util::Joules initial_energy,
+            Node::Services services, const NodeConfig& config) {
+    const auto id = static_cast<NodeId>(nodes_.size());
+    nodes_.push_back(std::make_unique<Node>(id, position, initial_energy,
+                                            services, config));
+    return *nodes_.back();
+  }
 
-  /// Appends a slot; indices are dense from 0 in insertion order (the
-  /// Network keeps them equal to NodeIds).
-  Index add(geom::Vec2 position, util::Joules residual);
+  std::size_t size() const { return nodes_.size(); }
 
-  std::size_t size() const { return count_; }
-  bool has(Index i) const { return i < count_; }
+  /// The node with id `id`; throws std::out_of_range when there is none.
+  Node& at(NodeId id) { return *nodes_.at(id); }
+  const Node& at(NodeId id) const { return *nodes_.at(id); }
 
-  /// Stable cell pointers — valid for the lifetime of the store, across
-  /// any number of add() calls.
-  geom::Vec2* position_cell(Index i) { return &positions_.at(i); }
-  util::Joules* residual_cell(Index i) { return &residuals_.at(i); }
-  FlowAggregate* flow_cell(Index i) { return &flows_.at(i); }
+  /// Visits every node in id order.
+  template <typename Fn>
+  void for_each(Fn&& fn) {
+    for (const auto& node : nodes_) fn(*node);
+  }
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const auto& node : nodes_) fn(static_cast<const Node&>(*node));
+  }
 
-  geom::Vec2 position(Index i) const { return positions_.at(i); }
-  util::Joules residual(Index i) const { return residuals_.at(i); }
-  const FlowAggregate& flow_aggregate(Index i) const { return flows_.at(i); }
-
-  /// Column sweeps over contiguous chunks (the scale-path replacements
-  /// for per-Node virtual-call loops).
-  util::Joules total_residual() const;
-  std::uint64_t total_packets_relayed() const;
-
-  /// Heap bytes held by the columns (scale accounting: bytes/node).
-  std::size_t approx_bytes() const;
+  /// Bytes held for the nodes (scale accounting: bytes/node): the Node
+  /// objects themselves plus the index vector's capacity. Heap memory a
+  /// node owns indirectly (neighbor and flow tables) is not counted.
+  std::size_t approx_bytes() const {
+    return nodes_.size() * sizeof(Node) +
+           nodes_.capacity() * sizeof(std::unique_ptr<Node>);
+  }
 
  private:
-  /// Append-only column in fixed-size chunks: cell addresses never move.
-  // snap:transient(SoA column storage, refilled via the owning store)
-  template <typename T>
-  class Column {
-   public:
-    static constexpr std::size_t kChunk = 4096;
-
-    T& at(Index i) { return chunks_[i / kChunk]->data[i % kChunk]; }
-    const T& at(Index i) const { return chunks_[i / kChunk]->data[i % kChunk]; }
-
-    void push_back(T value) {
-      const std::size_t slot = size_ % kChunk;
-      if (slot == 0) chunks_.push_back(std::make_unique<Chunk>());
-      chunks_.back()->data[slot] = value;
-      ++size_;
-    }
-
-    std::size_t size() const { return size_; }
-    std::size_t chunk_count() const { return chunks_.size(); }
-
-    /// Visits every element chunk by chunk (contiguous within a chunk).
-    template <typename Fn>
-    void for_each(Fn&& fn) const {
-      std::size_t remaining = size_;
-      for (const auto& chunk : chunks_) {
-        const std::size_t n = remaining < kChunk ? remaining : kChunk;
-        for (std::size_t i = 0; i < n; ++i) fn(chunk->data[i]);
-        remaining -= n;
-      }
-    }
-
-    std::size_t approx_bytes() const {
-      return chunks_.size() * sizeof(Chunk) +
-             chunks_.capacity() * sizeof(std::unique_ptr<Chunk>);
-    }
-
-   private:
-    struct Chunk {
-      T data[kChunk];
-    };
-    std::vector<std::unique_ptr<Chunk>> chunks_;
-    std::size_t size_ = 0;
-  };
-
-  Column<geom::Vec2> positions_;
-  Column<util::Joules> residuals_;
-  Column<FlowAggregate> flows_;
-  std::size_t count_ = 0;
+  // snap:derived(Network::add_node)
+  std::vector<std::unique_ptr<Node>> nodes_;
 };
 
 }  // namespace imobif::net

@@ -85,6 +85,72 @@ TEST(GridIndex, LargerRadiusThanCellWidens) {
   EXPECT_EQ(hits.size(), 1u);
 }
 
+TEST(GridIndex, IdsPastTheLargestInsertedAreAbsent) {
+  GridIndex index(100.0);
+  for (GridIndex::Id id = 0; id < 4; ++id) {
+    index.insert(id, {10.0 * id, 0.0});
+  }
+  const std::size_t bytes = index.approx_bytes();
+  EXPECT_FALSE(index.contains(4));
+  EXPECT_FALSE(index.contains(1000000));
+  index.remove(1000000);  // no-op
+  EXPECT_EQ(index.size(), 4u);
+  EXPECT_THROW(index.update(1000000, {0.0, 0.0}), std::out_of_range);
+  EXPECT_FALSE(index.contains(1000000));
+  // None of the above grew the id table.
+  EXPECT_EQ(index.approx_bytes(), bytes);
+}
+
+TEST(GridIndex, ReinsertAfterRemove) {
+  GridIndex index(100.0);
+  index.insert(2, {10.0, 10.0});
+  index.remove(2);
+  index.insert(2, {550.0, 550.0});
+  EXPECT_TRUE(index.contains(2));
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_TRUE(index.query({10.0, 10.0}, 5.0).empty());
+  EXPECT_EQ(index.query({550.0, 550.0}, 5.0),
+            (std::vector<GridIndex::Id>{2}));
+  index.update(2, {20.0, 20.0});
+  EXPECT_EQ(index.query({20.0, 20.0}, 5.0), (std::vector<GridIndex::Id>{2}));
+}
+
+TEST(GridIndex, SizeAfterMixedInsertAndRemove) {
+  GridIndex index(100.0);
+  for (GridIndex::Id id = 0; id < 10; ++id) {
+    index.insert(id, {50.0 * id, 0.0});
+  }
+  for (GridIndex::Id id = 0; id < 10; id += 2) index.remove(id);
+  index.remove(4);  // already gone
+  EXPECT_EQ(index.size(), 5u);
+  index.insert(4, {0.0, 0.0});
+  EXPECT_EQ(index.size(), 6u);
+  index.remove(99);  // never inserted
+  EXPECT_EQ(index.size(), 6u);
+  EXPECT_EQ(index.query({0.0, 0.0}, 1000.0).size(), 6u);
+}
+
+TEST(GridIndex, ExtremeCellKeysAreRepresentable) {
+  // Cells (2^31 - 1, 2^31 - 1) and (-2^31, -2^31) map to the largest and
+  // smallest possible keys; both must be stored like any other.
+  GridIndex index(1.0);
+  const double hi = 2147483647.5;
+  const double lo = -2147483647.5;
+  index.insert(0, {hi, hi});
+  index.insert(1, {lo, lo});
+  EXPECT_TRUE(index.contains(0));
+  EXPECT_TRUE(index.contains(1));
+  EXPECT_EQ(index.query({hi, hi}, 0.25), (std::vector<GridIndex::Id>{0}));
+  EXPECT_EQ(index.query({lo, lo}, 0.25), (std::vector<GridIndex::Id>{1}));
+  index.update(0, {hi + 0.25, hi});
+  EXPECT_EQ(index.query({hi + 0.25, hi}, 0.1),
+            (std::vector<GridIndex::Id>{0}));
+  index.remove(0);
+  index.remove(1);
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_TRUE(index.query({hi, hi}, 0.25).empty());
+}
+
 TEST(GridIndexNearest, EmptyGridReturnsNullopt) {
   GridIndex index(100.0);
   EXPECT_FALSE(index.nearest({0.0, 0.0}, 1000.0).has_value());

@@ -132,24 +132,25 @@ def main():
 
     # The production gates, exactly as CI runs them: the real tree is
     # clean under the committed tools/layers.json, and the acceptance
-    # canary — removing the derived-aggregate annotation in
-    # src/net/node_store.hpp — re-fires unpersisted-field.
+    # canary — removing the derived annotation on Node::hello_event_ in
+    # src/net/node.hpp — re-fires unpersisted-field.
     code, out = run_linter("src", layers=None)
     expect("src/ is snaplint-clean", code == 0, out)
 
-    store = os.path.join(REPO_ROOT, "src", "net", "node_store.hpp")
-    with open(store, encoding="utf-8") as f:
+    node = os.path.join(REPO_ROOT, "src", "net", "node.hpp")
+    with open(node, encoding="utf-8") as f:
         original = f.read()
-    canary = "// snap:derived(Node::sync_flow_aggregate)\n"
-    expect("canary annotation present in node_store.hpp", canary in original)
+    canary = "// snap:derived(arm_hello)\n"
+    expect("canary annotation present in node.hpp",
+           original.count(canary) == 1)
     try:
-        with open(store, "w", encoding="utf-8") as f:
+        with open(node, "w", encoding="utf-8") as f:
             f.write(original.replace(canary, ""))
         code, out = run_linter("src", layers=None)
-        expect("canary: dropping the derived-aggregate annotation fires",
-               code == 1 and "FlowAggregate::active_flows" in out, out)
+        expect("canary: dropping the hello-event annotation fires",
+               code == 1 and "Node::hello_event_" in out, out)
     finally:
-        with open(store, "w", encoding="utf-8") as f:
+        with open(node, "w", encoding="utf-8") as f:
             f.write(original)
     code, _ = run_linter("src", layers=None)
     expect("canary: annotation restored, src/ clean again", code == 0)
