@@ -1,11 +1,10 @@
 #include "snap/result_io.hpp"
 
-#include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 #include <utility>
 
 #include "core/imobif_policy.hpp"
+#include "snap/archive.hpp"
 
 namespace imobif::snap {
 
@@ -64,98 +63,39 @@ util::Json result_to_json(const exp::RunResult& result) {
   return doc;
 }
 
+template <class Ar>
+void fields(Ar& ar, exp::RunResult& x) {
+  ar.begin_section("result");
+  ar.enumeration(x.mode, core::MobilityMode::kInformed, "mobility mode");
+  ar.boolean(x.completed);
+  ar.quantity(x.delivered_bits);
+  ar.quantity(x.completion_s);
+  ar.quantity(x.transmit_energy_j);
+  ar.quantity(x.movement_energy_j);
+  ar.quantity(x.total_energy_j);
+  ar.u64(x.notifications);
+  ar.u64(x.notify_retries);
+  ar.u64(x.notifications_applied);
+  ar.u64(x.recruits);
+  ar.u64(x.movements);
+  ar.quantity(x.moved_distance_m);
+  fields(ar, x.medium);
+  ar.quantity(x.lifetime_s);
+  ar.boolean(x.any_death);
+  ar.seq(x.path);
+  ar.seq(x.final_positions);
+  ar.seq(x.final_energies);
+  ar.end_section();
+}
+
 void encode_run_result(StateWriter& w, const exp::RunResult& result) {
-  w.begin_section("result");
-  w.u8(static_cast<std::uint8_t>(result.mode));
-  w.boolean(result.completed);
-  w.f64(result.delivered_bits.value());
-  w.f64(result.completion_s.value());
-  w.f64(result.transmit_energy_j.value());
-  w.f64(result.movement_energy_j.value());
-  w.f64(result.total_energy_j.value());
-  w.u64(result.notifications);
-  w.u64(result.notify_retries);
-  w.u64(result.notifications_applied);
-  w.u64(result.recruits);
-  w.u64(result.movements);
-  w.f64(result.moved_distance_m.value());
-  w.u64(result.medium.broadcasts);
-  w.u64(result.medium.unicasts);
-  w.u64(result.medium.delivered);
-  w.u64(result.medium.dropped_out_of_range);
-  w.u64(result.medium.dropped_dead);
-  w.u64(result.medium.dropped_unknown);
-  w.u64(result.medium.dropped_injected);
-  w.u64(result.medium.dropped_faulted);
-  w.f64(result.lifetime_s.value());
-  w.boolean(result.any_death);
-  w.u64(result.path.size());
-  for (const net::NodeId id : result.path) w.u64(id);
-  w.u64(result.final_positions.size());
-  for (const geom::Vec2& p : result.final_positions) {
-    w.f64(p.x);
-    w.f64(p.y);
-  }
-  w.u64(result.final_energies.size());
-  for (const util::Joules e : result.final_energies) w.f64(e.value());
-  w.end_section();
+  Writer ar(w);
+  item(ar, result);
 }
 
 exp::RunResult decode_run_result(StateReader& r) {
-  r.begin_section("result");
-  exp::RunResult result;
-  const std::uint8_t mode_raw = r.u8();
-  if (mode_raw > static_cast<std::uint8_t>(core::MobilityMode::kInformed)) {
-    throw std::runtime_error("result: invalid mobility mode " +
-                             std::to_string(mode_raw));
-  }
-  result.mode = static_cast<core::MobilityMode>(mode_raw);
-  result.completed = r.boolean();
-  result.delivered_bits = util::Bits{r.f64()};
-  result.completion_s = util::Seconds{r.f64()};
-  result.transmit_energy_j = util::Joules{r.f64()};
-  result.movement_energy_j = util::Joules{r.f64()};
-  result.total_energy_j = util::Joules{r.f64()};
-  result.notifications = r.u64();
-  result.notify_retries = r.u64();
-  result.notifications_applied = r.u64();
-  result.recruits = r.u64();
-  result.movements = r.u64();
-  result.moved_distance_m = util::Meters{r.f64()};
-  result.medium.broadcasts = r.u64();
-  result.medium.unicasts = r.u64();
-  result.medium.delivered = r.u64();
-  result.medium.dropped_out_of_range = r.u64();
-  result.medium.dropped_dead = r.u64();
-  result.medium.dropped_unknown = r.u64();
-  result.medium.dropped_injected = r.u64();
-  result.medium.dropped_faulted = r.u64();
-  result.lifetime_s = util::Seconds{r.f64()};
-  result.any_death = r.boolean();
-  // These counts come from a result file that may be truncated or
-  // corrupt; cap speculative reservations so bad values fail on the short
-  // stream instead of forcing a huge allocation.
-  constexpr std::uint64_t kReserveCap = 1u << 20;
-  const std::uint64_t path_count = r.u64();
-  result.path.reserve(std::min(path_count, kReserveCap));
-  for (std::uint64_t i = 0; i < path_count; ++i) {
-    result.path.push_back(static_cast<net::NodeId>(r.u64()));
-  }
-  const std::uint64_t position_count = r.u64();
-  result.final_positions.reserve(std::min(position_count, kReserveCap));
-  for (std::uint64_t i = 0; i < position_count; ++i) {
-    geom::Vec2 p;
-    p.x = r.f64();
-    p.y = r.f64();
-    result.final_positions.push_back(p);
-  }
-  const std::uint64_t energy_count = r.u64();
-  result.final_energies.reserve(std::min(energy_count, kReserveCap));
-  for (std::uint64_t i = 0; i < energy_count; ++i) {
-    result.final_energies.push_back(util::Joules{r.f64()});
-  }
-  r.end_section();
-  return result;
+  Reader in(r);
+  return in.read<exp::RunResult>();
 }
 
 void save_result(const std::string& path, const exp::RunResult& result) {

@@ -1,44 +1,27 @@
 // StateHash: a 64-bit incremental digest over the snapshot encoding.
 //
-// Implements the same Sink method set as snap::StateWriter, so the
-// templated encode functions in snapshot.cpp can feed either one: hashing
-// a run is exactly "encode it and hash the bytes" without materializing
-// the bytes. FNV-1a over the tagged byte stream — the tags (and section
-// framing) are hashed too, so two different field sequences can never
-// collide by concatenation.
+// StateHash is the TaggedEncoder of codec.hpp over an FNV-1a sink, the
+// same encoder StateWriter runs over a byte string, so the field lists in
+// snapshot.cpp feed either one through a snap::Writer: hashing a run is
+// exactly "encode it and hash the bytes after the 8-byte header" without
+// materializing the bytes. The tags (and section framing) are hashed too,
+// so two different field sequences can never collide by concatenation.
 //
 // This is a divergence detector for replay bisection, not a cryptographic
 // commitment; 64 bits is ample for comparing two runs event-by-event.
 #pragma once
 
 #include <cstdint>
-#include <string_view>
+
+#include "snap/codec.hpp"
 
 namespace imobif::snap {
 
-// snap:transient(hash accumulator, not simulated run state)
-class StateHash {
+class StateHash : public TaggedEncoder<Fnv1aSink> {
  public:
-  void u8(std::uint8_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i64(std::int64_t v);
-  void f64(double v);
-  void boolean(bool v);
-  void str(std::string_view v);
-  void begin_section(std::string_view name);
-  void end_section();
+  StateHash() : TaggedEncoder(Fnv1aSink::kOffsetBasis) {}
 
-  std::uint64_t digest() const { return hash_; }
-
- private:
-  void byte(std::uint8_t b) { hash_ = (hash_ ^ b) * kPrime; }
-  void bytes_le(std::uint64_t v, int n);
-
-  static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ull;
-  static constexpr std::uint64_t kPrime = 0x100000001b3ull;
-
-  std::uint64_t hash_ = kOffsetBasis;
+  std::uint64_t digest() const { return state_; }
 };
 
 }  // namespace imobif::snap

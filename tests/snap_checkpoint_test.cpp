@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exp/instance.hpp"
+#include "exp/scenario_io.hpp"
 #include "snap/checkpointer.hpp"
+#include "snap/codec.hpp"
 #include "snap/result_io.hpp"
 #include "util/rng.hpp"
 
@@ -149,6 +153,35 @@ TEST(SnapCheckpoint, SeedsAboveTwoToTheSixtyThreeRestore) {
   auto restored = restore(encode(*run));
   EXPECT_EQ(restored->params().seed, params.seed);
   EXPECT_EQ(restored->params().fault.seed, params.fault.seed);
+}
+
+TEST(SnapCheckpoint, CorruptExtraFlowCountIsACodecError) {
+  const exp::ScenarioParams params = base_params();
+  util::Rng rng(params.seed);
+  auto run = exp::InstanceRun::create(exp::sample_instance(params, rng),
+                                      params, core::MobilityMode::kInformed,
+                                      {});
+  const std::string bytes = encode(*run);
+  // The meta section up to the extra-flow count: header (8), section
+  // "meta" (9), the scenario text (5 + length), mode (2),
+  // stop_on_first_death (2), horizon_factor (9), horizon_slack_s (9),
+  // multi_flow_blending (2); then the count as a tagged u64.
+  const std::size_t at =
+      8 + 9 + 5 + exp::to_config_string(run->params()).size() + 2 + 2 + 9 +
+      9 + 2;
+  ASSERT_EQ(bytes[at], static_cast<char>(Tag::kU64));
+  ASSERT_EQ(bytes.substr(at + 1, 8), std::string(8, '\0'));
+
+  for (const std::uint64_t count :
+       {(std::uint64_t{1} << 63) - 1, std::uint64_t{1} << 40}) {
+    SCOPED_TRACE("extra-flow count " + std::to_string(count));
+    std::string patched = bytes;
+    for (int i = 0; i < 8; ++i) {
+      patched[at + 1 + i] = static_cast<char>((count >> (8 * i)) & 0xffu);
+    }
+    EXPECT_THROW(restore(patched), std::runtime_error);
+    EXPECT_THROW(restore_fresh(patched), std::runtime_error);
+  }
 }
 
 TEST(SnapCheckpoint, SaveRestoreFileRoundTrip) {

@@ -21,6 +21,8 @@
 
 #include "exp/instance.hpp"
 #include "mob/params.hpp"
+#include "snap/codec.hpp"
+#include "snap/state_hash.hpp"
 #include "traffic/generator.hpp"
 #include "traffic/params.hpp"
 #include "util/rng.hpp"
@@ -54,6 +56,40 @@ std::unique_ptr<exp::InstanceRun> midflight_run() {
   run->set_sampler_rng_state(rng.state());
   run->advance(1500);
   return run;
+}
+
+TEST(SnapStateHashTest, DigestOfAFixedRunIsPinned) {
+  // Recorded before StateHash and StateWriter shared one encoder: any
+  // change to this value means the dynamic-state encoding moved.
+  EXPECT_EQ(state_hash(*midflight_run()), 0x237b17cdeb4ea477ull);
+}
+
+TEST(SnapStateHashTest, DigestIsFnv1aOfTheWriterBytes) {
+  const auto feed = [](auto& sink) {
+    sink.begin_section("mixed");
+    sink.u8(0xab);
+    sink.u32(0xdeadbeefu);
+    sink.u64(0x0123456789abcdefull);
+    sink.i64(-42);
+    sink.f64(-0.0);
+    sink.boolean(true);
+    sink.str("snapshot");
+    sink.begin_section("");
+    sink.end_section();
+    sink.boolean(false);
+    sink.end_section();
+  };
+  StateWriter writer;
+  StateHash hash;
+  feed(writer);
+  feed(hash);
+
+  // FNV-1a over everything after the 8-byte header (magic + version).
+  std::uint64_t expected = 0xcbf29ce484222325ull;
+  for (const char c : writer.data().substr(8)) {
+    expected = (expected ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ull;
+  }
+  EXPECT_EQ(hash.digest(), expected);
 }
 
 TEST(SnapStateHashTest, MetaOnlyChangeLeavesDigestUntouched) {
