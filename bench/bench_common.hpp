@@ -7,6 +7,7 @@
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/experiments.hpp"
@@ -42,6 +43,10 @@ struct BenchConfig {
   runtime::CheckpointOptions checkpoint;
 };
 
+/// Upper bound on --instances / N: each instance is a full comparison
+/// replay, and the sweep reserves its results up front.
+inline constexpr std::uint64_t kMaxInstances = 1000000;
+
 inline void print_bench_usage(std::ostream& out, const std::string& program,
                               std::size_t default_instances) {
   out << "usage: " << program
@@ -50,7 +55,7 @@ inline void print_bench_usage(std::ostream& out, const std::string& program,
          "       [--checkpoint-dir D] [--resume]"
          " [--checkpoint-every-s T]\n"
          "  N / --instances  flow instances per series (default "
-      << default_instances
+      << default_instances << ", at most " << kMaxInstances
       << ")\n"
          "  --seed           override the scenario base seed\n"
          "  --jobs           worker threads (default 1)\n"
@@ -89,6 +94,11 @@ inline BenchConfig parse_bench_args(int argc, char** argv,
       config.instances = util::parse_u64(args.positional().front(), "N");
     }
     config.instances = args.get_u64("instances", config.instances);
+    if (config.instances > kMaxInstances) {
+      throw std::out_of_range("--instances must be at most " +
+                              std::to_string(kMaxInstances) + ", got " +
+                              std::to_string(config.instances));
+    }
     config.seed_set = args.has("seed");
     if (config.seed_set) {
       config.seed = args.get_u64("seed", 0);
@@ -213,8 +223,11 @@ inline std::vector<exp::ComparisonPoint> run_comparison(
     const exp::ScenarioParams& params, const BenchConfig& config,
     const exp::RunOptions& options = {}) {
   static int sweep_counter = 0;
+  std::string scope = "s";
+  scope += std::to_string(sweep_counter++);
+  scope += '-';
   runtime::CheckpointOptions checkpoint = config.checkpoint;
-  checkpoint.scope = "s" + std::to_string(sweep_counter++) + "-";
+  checkpoint.scope = std::move(scope);
   return runtime::run_comparison_parallel(params, config.instances, options,
                                           config.jobs, checkpoint);
 }

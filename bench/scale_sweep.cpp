@@ -118,33 +118,49 @@ PointResult run_point(const PointConfig& point) {
   return result;
 }
 
+void print_usage(std::ostream& out, const std::string& program) {
+  out << "usage: " << program
+      << " [--nodes N] [--max-nodes M] [--events B] [--seed S]"
+         " [--json PATH]\n"
+         "  --nodes      run a single point at N nodes\n"
+         "  --max-nodes  cap the default 1e2..1e6 sweep at M\n"
+         "  --events     event budget per point (default 2000000)\n"
+         "  --seed       topology seed (default 20050610)\n"
+         "  --json       write a BENCH_scale.json artifact\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   if (args.has("help")) {
-    std::cout << "usage: " << args.program()
-              << " [--nodes N] [--max-nodes M] [--events B] [--seed S]"
-                 " [--json PATH]\n"
-                 "  --nodes      run a single point at N nodes\n"
-                 "  --max-nodes  cap the default 1e2..1e6 sweep at M\n"
-                 "  --events     event budget per point (default 2000000)\n"
-                 "  --seed       topology seed (default 20050610)\n"
-                 "  --json       write a BENCH_scale.json artifact\n";
+    print_usage(std::cout, args.program());
     return 0;
   }
-  const auto event_budget =
-      static_cast<std::size_t>(args.get_int("events", 2000000));
-  const std::uint64_t seed = args.get_u64("seed", 20050610);
-  const std::string json_path = args.get_string("json", "");
-
+  const auto reject = [&args](const std::exception& e) {
+    std::cerr << args.program() << ": " << e.what() << "\n";
+    print_usage(std::cerr, args.program());
+    return 2;
+  };
+  std::size_t event_budget = 0;
+  std::uint64_t seed = 0;
+  std::string json_path;
   std::vector<std::size_t> counts;
-  if (args.has("nodes")) {
-    counts.push_back(static_cast<std::size_t>(args.get_int("nodes", 100)));
-  } else {
-    const auto max_nodes = static_cast<std::size_t>(
-        args.get_int("max-nodes", 1000000));
-    for (std::size_t n = 100; n <= max_nodes; n *= 10) counts.push_back(n);
+  try {
+    event_budget = static_cast<std::size_t>(args.get_int("events", 2000000));
+    seed = args.get_u64("seed", 20050610);
+    json_path = args.get_string("json", "");
+    if (args.has("nodes")) {
+      counts.push_back(static_cast<std::size_t>(args.get_int("nodes", 100)));
+    } else {
+      const auto max_nodes = static_cast<std::size_t>(
+          args.get_int("max-nodes", 1000000));
+      for (std::size_t n = 100; n <= max_nodes; n *= 10) counts.push_back(n);
+    }
+  } catch (const std::invalid_argument& e) {
+    return reject(e);
+  } catch (const std::out_of_range& e) {
+    return reject(e);
   }
 
   bench::print_header("scale sweep: events/sec and bytes/node vs node count");

@@ -10,6 +10,7 @@
 //   $ ./imobif_sim --config scenario.conf --lifetime --csv out.csv
 //   $ ./imobif_sim --print-config          # dump the effective scenario
 #include <iostream>
+#include <stdexcept>
 
 #include "exp/experiments.hpp"
 #include "exp/scenario_io.hpp"
@@ -34,8 +35,8 @@ util::Config config_from_args(const util::Args& args) {
   return config;
 }
 
-void print_usage() {
-  std::cout <<
+void print_usage(std::ostream& out) {
+  out <<
       "imobif_sim - iMobif experiment driver\n\n"
       "  --config FILE        load scenario from a key = value file\n"
       "  --flows N            flow instances to run (default 20)\n"
@@ -51,9 +52,26 @@ void print_usage() {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  if (args.get_bool("help")) {
-    print_usage();
-    return 0;
+  const auto reject = [&args](const std::exception& e) {
+    std::cerr << args.program() << ": " << e.what() << "\n";
+    print_usage(std::cerr);
+    return 2;
+  };
+  std::size_t flows = 0;
+  bool lifetime = false;
+  bool print_config = false;
+  try {
+    if (args.get_bool("help")) {
+      print_usage(std::cout);
+      return 0;
+    }
+    flows = args.get_u64("flows", 20);
+    lifetime = args.get_bool("lifetime");
+    print_config = args.get_bool("print-config");
+  } catch (const std::invalid_argument& e) {
+    return reject(e);
+  } catch (const std::out_of_range& e) {
+    return reject(e);
   }
 
   exp::ScenarioParams params;
@@ -70,13 +88,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (args.get_bool("print-config")) {
+  if (print_config) {
     std::cout << exp::to_config_string(params);
     return 0;
   }
 
-  const auto flows = static_cast<std::size_t>(args.get_int("flows", 20));
-  const bool lifetime = args.get_bool("lifetime");
   exp::RunOptions options;
   options.stop_on_first_death = lifetime;
 

@@ -6,21 +6,51 @@
 //
 // Results are bit-identical for any --jobs value: each job's instance is
 // sampled from a seed derived statelessly from (base seed, job index).
+#include <cstdint>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "runtime/report.hpp"
 #include "runtime/sweep.hpp"
 #include "util/args.hpp"
 
+namespace {
+
+void print_usage(std::ostream& out, const std::string& program) {
+  out << "usage: " << program
+      << " [--instances N] [--jobs N] [--seed S] [--json PATH]\n"
+         "  --instances  flow instances (default 8)\n"
+         "  --jobs       worker threads (default 4)\n"
+         "  --seed       base seed (default 7)\n"
+         "  --json       write the report as a JSON artifact\n";
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace imobif;
 
   const util::Args args(argc, argv);
-  const std::size_t instances =
-      static_cast<std::size_t>(args.get_int("instances", 8));
-  const std::size_t jobs = static_cast<std::size_t>(args.get_int("jobs", 4));
-  const std::uint64_t seed = args.get_u64("seed", 7);
+  const auto reject = [&args](const std::exception& e) {
+    std::cerr << args.program() << ": " << e.what() << "\n";
+    print_usage(std::cerr, args.program());
+    return 2;
+  };
+  std::size_t instances = 0;
+  std::size_t jobs = 1;
+  std::uint64_t seed = 0;
+  try {
+    instances = args.get_u64("instances", 8);
+    const std::int64_t jobs_flag = args.get_int("jobs", 4);
+    jobs = jobs_flag < 1 ? 1 : static_cast<std::size_t>(jobs_flag);
+    seed = args.get_u64("seed", 7);
+  } catch (const std::invalid_argument& e) {
+    return reject(e);
+  } catch (const std::out_of_range& e) {
+    return reject(e);
+  }
 
   exp::ScenarioParams params;
   params.node_count = 60;

@@ -1,8 +1,8 @@
-# Runs a bench binary with a bad flag value and requires a clean input
-# error: exit code 2 and a stderr message that names the flag (an uncaught
-# exception would abort with SIGABRT instead).
+# Runs a bench or example binary with a bad flag value and requires a
+# clean input error: exit code 2 and a stderr message that names the flag
+# (an uncaught exception would abort with SIGABRT instead).
 #
-#   cmake -DBIN=<bench binary> -DFLAG=--instances -DVALUE=-1 \
+#   cmake -DBIN=<binary> -DFLAG=--instances -DVALUE=-1 \
 #         -P bench_bad_flag.cmake
 execute_process(COMMAND "${BIN}" "${FLAG}" "${VALUE}"
   RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
